@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 (run with -s to see them) and enforcing its runtime budget."""
 
+import hashlib
 import json
 import math
 import random
@@ -28,6 +29,10 @@ from k3fm.lattice import isometry_product
 from k3fm.modgroup import al_mul, fricke_coset_count, is_fricke, random_al
 
 D_SET = (1, 2, 6, 12, 30, 210)
+# sha256 of the stdout of `k3fm verify` with every option at its default.
+DEFAULT_VERIFY_SHA256 = (
+    "d7b6da7023c088635d5f555a78cf575f7a5fea7aa94fa6a7f0c7e0a70d6e7006"
+)
 ANALYTIC_TOL = 1e-9
 
 
@@ -176,6 +181,9 @@ def test_criterion_7_cli_determinism(capsys):
         failures.append(("exit codes", code1, code2))
     if out1.encode() != out2.encode():
         failures.append(("reports differ",))
+    digest = hashlib.sha256(out1.encode()).hexdigest()
+    if digest != DEFAULT_VERIFY_SHA256:
+        failures.append(("default report digest", digest))
     if json.loads(out1)["total_failures"] != 0:
         failures.append(("failures in default run",))
     _finish(7, "CLI determinism", failures, started, budget=60.0)
