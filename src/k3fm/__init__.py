@@ -5,10 +5,8 @@ the lift/descend correspondence between them, the derived-partner census,
 and the induced actions on the upper half plane."""
 
 from .arith import (
-    ExactDivisor,
     Factorization,
     exact_divisor_values,
-    exact_divisors,
     factorize,
     is_exact_divisor,
     mod_inverse,
@@ -50,11 +48,9 @@ from .fmcalc import (
     partner_label,
     same_partner,
     source_twist,
-    translation_transform,
 )
 from .halfplane import (
     HalfPlanePoint,
-    TubeVector,
     central_charge,
     charge_product_defect,
     embed,
@@ -69,7 +65,6 @@ from .lattice import (
     LatticeVector,
     discriminant_unit,
     gram_matrix,
-    in_star_kernel,
     is_isometry,
     is_orientation_preserving,
     isometry_product,
@@ -78,7 +73,6 @@ from .lattice import (
 from .modgroup import (
     ALElement,
     CosetLabel,
-    al_from_tuple,
     al_identity,
     al_inverse,
     al_mul,

@@ -8,10 +8,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "Factorization",
-    "ExactDivisor",
     "factorize",
     "is_exact_divisor",
-    "exact_divisors",
     "exact_divisor_values",
     "star",
     "mod_inverse",
@@ -42,18 +40,6 @@ class Factorization:
     def omega(self) -> int:
         """Number of distinct prime factors."""
         return len(self.factors)
-
-
-@dataclass(frozen=True)
-class ExactDivisor:
-    """A divisor s of d with gcd(s, d/s) = 1."""
-
-    d: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if not is_exact_divisor(self.s, self.d):
-            raise ValueError(f"{self.s} is not an exact divisor of {self.d}")
 
 
 def factorize(n: int) -> Factorization:
@@ -90,10 +76,6 @@ def exact_divisor_values(d: int) -> tuple[int, ...]:
         q = p**k
         vals += [v * q for v in vals]
     return tuple(sorted(vals))
-
-
-def exact_divisors(d: int) -> tuple[ExactDivisor, ...]:
-    return tuple(ExactDivisor(d, s) for s in exact_divisor_values(d))
 
 
 def star(s: int, t: int) -> int:

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
 
 from .arith import exact_divisor_values, factorize
 from .corr import classify_coset, report_to_json, represent, verify_correspondence
-from .errors import K3FMError
-from .fmcalc import census_to_json, induced_transform, partner_census, source_twist
+from .errors import K3FMError, NotAnIsometry
+from .fmcalc import census_to_json, induced_transform, partner_census
 from .halfplane import (
     HalfPlanePoint,
     charge_product_defect,
@@ -44,6 +44,24 @@ __all__ = ["VerifyConfig", "main", "run_verify"]
 _FORMATS = ("json", "csv", "text")
 
 
+class _Exit(Exception):
+    """Ends a subcommand: `main` prints `error: <message>` to stderr and
+    returns `code` (2 usage, 3 classification, 4 parse)."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _range_problem(d_min: int, d_max: int) -> str | None:
+    return None if 1 <= d_min <= d_max else f"invalid range [{d_min}, {d_max}]"
+
+
+def _check_positive(d: int) -> None:
+    if d < 1:
+        raise _Exit(2, f"d must be positive, got {d}")
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     d_min: int = 1
@@ -51,110 +69,80 @@ class VerifyConfig:
     samples_per_coset: int = 50
     seed: int = 1
     tolerance: float = 1e-9
-    fmt: str = "json"
 
     def validate(self) -> str | None:
-        if self.d_min < 1 or self.d_max < self.d_min:
-            return f"invalid range [{self.d_min}, {self.d_max}]"
+        """The first usage problem with this config, or None."""
+        if (problem := _range_problem(self.d_min, self.d_max)) is not None:
+            return problem
         if self.samples_per_coset < 1:
             return "samples per coset must be at least 1"
-        if self.fmt not in _FORMATS:
-            return f"unknown format {self.fmt!r}"
+        if not 0 < self.tolerance < math.inf:  # false for nan as well
+            return f"tolerance must be finite and positive, got {self.tolerance!r}"
         return None
 
 
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _flag(x: bool) -> str:
+    return "true" if x else "false"
 
 
-def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
+    """Write one result to stdout: `obj` as sorted, indented JSON, `header`
+    and `rows` as RFC-4180 CSV, or the lines of `text`.  Only the chosen
+    one of `rows` and `text` is iterated, so both may be lazy."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        sys.stdout.writelines(line + "\n" for line in text)
 
 
 # ---------------------------------------------------------------- table
 
+_TABLE_KEYS = ["d", "omega", "exact_divisors", "fm_number", "fricke_index"]
 
-def _table_row(d: int) -> dict:
+
+def _table_row(d: int) -> list[str]:
     census = partner_census(d)
     index = fricke_coset_count(d)
     if census.fm_number != index:
         raise AssertionError(f"partner count and coset index disagree at d={d}")
-    return {
-        "d": str(d),
-        "omega": str(factorize(d).omega),
-        "exact_divisors": str(len(exact_divisor_values(d))),
-        "fm_number": str(census.fm_number),
-        "fricke_index": str(index),
-    }
+    return [str(d), str(factorize(d).omega), str(len(exact_divisor_values(d))),
+            str(census.fm_number), str(index)]
 
 
 def _cmd_table(args) -> int:
-    if args.d_min < 1 or args.d_max < args.d_min:
-        print(f"error: invalid range [{args.d_min}, {args.d_max}]", file=sys.stderr)
-        return 2
+    if (problem := _range_problem(args.d_min, args.d_max)) is not None:
+        raise _Exit(2, problem)
     rows = [_table_row(d) for d in range(args.d_min, args.d_max + 1)]
-    keys = ["d", "omega", "exact_divisors", "fm_number", "fricke_index"]
-    if args.format == "json":
-        _print_json({"rows": rows})
-    elif args.format == "csv":
-        _print_csv(keys, [[row[k] for k in keys] for row in rows])
-    else:
-        print("  ".join(f"{k:>14}" for k in keys))
-        for row in rows:
-            print("  ".join(f"{row[k]:>14}" for k in keys))
+    _emit(args.format, {"rows": [dict(zip(_TABLE_KEYS, row)) for row in rows]},
+          _TABLE_KEYS, rows,
+          ("  ".join(f"{x:>14}" for x in row) for row in [_TABLE_KEYS, *rows]))
     return 0
 
 
 # ------------------------------------------------------------- partners
 
 
-def _partner_entries(d: int) -> list[dict]:
-    entries = []
-    for lab in partner_census(d).labels:
-        t = induced_transform(d, lab.r)
-        entry = {
-            "r": str(lab.r),
-            "moduli": lab.moduli,
-            "fine": lab.is_fine,
-            "image": al_to_json(t.image),
-            "coset_level": str(t.image.s),
-        }
-        entries.append(entry)
-    return entries
-
-
 def _cmd_partners(args) -> int:
-    if args.d < 1:
-        print(f"error: d must be positive, got {args.d}", file=sys.stderr)
-        return 2
+    _check_positive(args.d)
     census = partner_census(args.d)
     payload = census_to_json(census)
-    entries = _partner_entries(args.d)
-    for base, extra in zip(payload["labels"], entries):
-        base.update(image=extra["image"], coset_level=extra["coset_level"])
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        header = ["d", "r", "moduli", "fine", "coset_level", "a", "b", "c", "e"]
-        rows = [
-            [payload["d"], e["r"], e["moduli"], str(e["fine"]).lower(),
-             e["coset_level"]] + e["image"]["abce"]
-            for e in entries
-        ]
-        _print_csv(header, rows)
-    else:
-        print(f"d={args.d}  fm_number={census.fm_number}")
-        for e in entries:
-            a, b, c, ee = e["image"]["abce"]
-            fine = "fine" if e["fine"] else "not fine"
-            print(
-                f"  {e['moduli']}  r={e['r']}  image level {e['coset_level']}"
-                f"  (a,b,c,e)=({a},{b},{c},{ee})  {fine}"
-            )
+    labels = payload["labels"]
+    for lab, entry in zip(census.labels, labels):
+        image = induced_transform(args.d, lab.r).image
+        entry.update(image=al_to_json(image), coset_level=str(image.s))
+    _emit(args.format, payload,
+          ["d", "r", "moduli", "fine", "coset_level", "a", "b", "c", "e"],
+          ([payload["d"], e["r"], e["moduli"], _flag(e["fine"]), e["coset_level"],
+            *e["image"]["abce"]] for e in labels),
+          [f"d={args.d}  fm_number={payload['fm_number']}"] + [
+              f"  {e['moduli']}  r={e['r']}  image level {e['coset_level']}"
+              f"  (a,b,c,e)=({','.join(e['image']['abce'])})"
+              f"  {'fine' if e['fine'] else 'not fine'}"
+              for e in labels])
     return 0
 
 
@@ -169,16 +157,14 @@ def _read_input(path: str | None) -> str:
 
 
 def _cmd_classify(args) -> int:
+    if args.d is not None:
+        _check_positive(args.d)
     try:
-        text = _read_input(args.path)
+        obj = json.loads(_read_input(args.path))
     except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 4
-    try:
-        obj = json.loads(text)
+        raise _Exit(4, f"cannot read input: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: input is not JSON: {exc}", file=sys.stderr)
-        return 4
+        raise _Exit(4, f"input is not JSON: {exc}") from None
 
     try:
         if isinstance(obj, dict) and "abce" in obj:
@@ -186,47 +172,31 @@ def _cmd_classify(args) -> int:
             if args.d is not None and args.d != w.d:
                 raise ValueError(f"--d {args.d} contradicts encoded d={w.d}")
             g = represent(w)
-        elif isinstance(obj, (list, tuple)):
+        elif isinstance(obj, list):
             if args.d is None:
-                print("error: 3x3 input requires --d", file=sys.stderr)
-                return 2
+                raise _Exit(2, "3x3 input requires --d")
             g = isometry_from_json(obj, args.d)
         else:
             raise ValueError("expected an element object or a 3x3 array")
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, K3FMError):
-            print(f"error: not classifiable: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 4
-
-    try:
         if not is_isometry(g):
-            raise K3FMError("matrix does not preserve the Gram form")
-        w = classify_coset(g).s
+            raise NotAnIsometry("matrix does not preserve the Gram form")
+        s = classify_coset(g).s
         record = {
-            "s": str(w),
-            "fricke": w in (1, g.d),
+            "s": str(s),
+            "fricke": s in (1, g.d),
             "discriminant_unit": str(discriminant_unit(g).u),
             "orientation": is_orientation_preserving(g),
         }
     except K3FMError as exc:
-        print(f"error: not classifiable: {exc}", file=sys.stderr)
-        return 3
+        raise _Exit(3, f"not classifiable: {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise _Exit(4, f"malformed input: {exc}") from None
 
-    if args.format == "json":
-        _print_json(record)
-    elif args.format == "csv":
-        header = ["s", "fricke", "discriminant_unit", "orientation"]
-        _print_csv(header, [[record["s"], str(record["fricke"]).lower(),
-                             record["discriminant_unit"],
-                             str(record["orientation"]).lower()]])
-    else:
-        print(
-            f"s={record['s']} fricke={str(record['fricke']).lower()} "
-            f"discriminant_unit={record['discriminant_unit']} "
-            f"orientation={str(record['orientation']).lower()}"
-        )
+    row = [record["s"], _flag(record["fricke"]), record["discriminant_unit"],
+           _flag(record["orientation"])]
+    header = ["s", "fricke", "discriminant_unit", "orientation"]
+    _emit(args.format, record, header, [row],
+          [" ".join(f"{k}={v}" for k, v in zip(header, row))])
     return 0
 
 
@@ -238,41 +208,33 @@ def _sample_point(rng: random.Random) -> HalfPlanePoint:
 
 
 def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
-    failures = 0
-
     report = verify_correspondence(d, config.samples_per_coset, rng)
-    failures += len(report.failures)
 
     census = partner_census(d)
     omega = factorize(d).omega
     formula = 1 if d == 1 else 2 ** (omega - 1)
     coset_count = fricke_coset_count(d)
     census_ok = census.fm_number == coset_count == formula
-    failures += 0 if census_ok else 1
 
+    divisors = exact_divisor_values(d)
+    built = [induced_transform(d, r) for r in divisors]
     transforms = []
-    for r in exact_divisor_values(d):
-        n = source_twist(d, r)
-        twist_ok = (r + d * n) % (r * r) == 0
-        t = induced_transform(d, r)
+    for r, t in zip(divisors, built):
+        twist_ok = (r + d * t.n_src) % (r * r) == 0
         level = classify_coset(represent(t.image)).s
-        level_ok = level == d // r
-        okay = twist_ok and level_ok
-        failures += 0 if okay else 1
         transforms.append(
             {
                 "r": str(r),
-                "twist": str(n),
+                "twist": str(t.n_src),
                 "level": str(level),
                 "expected_level": str(d // r),
-                "ok": okay,
+                "ok": twist_ok and level == d // r,
             }
         )
 
     n_points = min(10, config.samples_per_coset)
     action_max = charge_max = equiv_max = 0.0
-    for r in exact_divisor_values(d):
-        t = induced_transform(d, r)
+    for t in built:
         for _ in range(n_points):
             z = _sample_point(rng)
             za = induced_action(d, t.rank, t.n_src, t.n_tgt, z)
@@ -280,12 +242,13 @@ def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
             scale = max(1.0, abs(zm.z))
             action_max = max(action_max, abs(za.z - zm.z) / scale)
             charge_max = max(charge_max, charge_product_defect(t, z))
-    for s in exact_divisor_values(d):
+    for s in divisors:
         w = random_al(d, s, rng)
         for _ in range(n_points):
             equiv_max = max(equiv_max, equivariance_defect(w, _sample_point(rng)))
     analytic_ok = max(action_max, charge_max, equiv_max) < config.tolerance
-    failures += 0 if analytic_ok else 1
+    failures = (len(report.failures) + sum(not t["ok"] for t in transforms)
+                + (not census_ok) + (not analytic_ok))
 
     return {
         "d": str(d),
@@ -329,46 +292,28 @@ def run_verify(config: VerifyConfig) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> int:
-    config = VerifyConfig(
-        d_min=args.d_min,
-        d_max=args.d_max,
-        samples_per_coset=args.samples,
-        seed=args.seed,
-        tolerance=args.tol,
-        fmt=args.format,
-    )
-    problem = config.validate()
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+    config = VerifyConfig(args.d_min, args.d_max, args.samples, args.seed, args.tol)
+    if (problem := config.validate()) is not None:
+        raise _Exit(2, problem)
     report, code = run_verify(config)
-    if config.fmt == "json":
-        _print_json(report)
-    elif config.fmt == "csv":
-        header = ["d", "check", "ok", "detail"]
-        rows = []
-        for level in report["levels"]:
-            corr_ok = not level["correspondence"]["failures"]
-            rows.append([level["d"], "correspondence", str(corr_ok).lower(),
-                         f"failures={len(level['correspondence']['failures'])}"])
-            rows.append([level["d"], "census", str(level["census"]["ok"]).lower(),
-                         f"fm_number={level['census']['fm_number']}"])
-            transforms_ok = all(t["ok"] for t in level["transforms"])
-            rows.append([level["d"], "transforms", str(transforms_ok).lower(),
-                         f"count={len(level['transforms'])}"])
-            rows.append([level["d"], "analytic", str(level["analytic"]["ok"]).lower(),
-                         f"max_defect={max(level['analytic']['max_action_defect'], level['analytic']['max_charge_defect'], level['analytic']['max_equivariance_defect'])!r}"])
-        _print_csv(header, rows)
-    else:
-        for level in report["levels"]:
-            status = "ok" if level["failures"] == 0 else f"{level['failures']} failures"
-            worst = max(
-                level["analytic"]["max_action_defect"],
-                level["analytic"]["max_charge_defect"],
-                level["analytic"]["max_equivariance_defect"],
-            )
-            print(f"d={level['d']}: {status} (worst analytic defect {worst!r})")
-        print(f"total failures: {report['total_failures']}")
+    rows, text = [], []
+    for level in report["levels"]:
+        d, corr, analytic = level["d"], level["correspondence"], level["analytic"]
+        worst = max(analytic["max_action_defect"], analytic["max_charge_defect"],
+                    analytic["max_equivariance_defect"])
+        rows += [
+            [d, "correspondence", _flag(not corr["failures"]),
+             f"failures={len(corr['failures'])}"],
+            [d, "census", _flag(level["census"]["ok"]),
+             f"fm_number={level['census']['fm_number']}"],
+            [d, "transforms", _flag(all(t["ok"] for t in level["transforms"])),
+             f"count={len(level['transforms'])}"],
+            [d, "analytic", _flag(analytic["ok"]), f"max_defect={worst!r}"],
+        ]
+        status = "ok" if level["failures"] == 0 else f"{level['failures']} failures"
+        text.append(f"d={d}: {status} (worst analytic defect {worst!r})")
+    text.append(f"total failures: {report['total_failures']}")
+    _emit(args.format, report, ["d", "check", "ok", "detail"], rows, text)
     return code
 
 
@@ -424,7 +369,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

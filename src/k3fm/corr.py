@@ -38,9 +38,6 @@ __all__ = [
     "report_to_json",
 ]
 
-_CHECKS = ("integral", "isometry", "orientation", "round_trip", "fricke_criterion")
-
-
 def represent(w: ALElement) -> IsometryN:
     """Integral 3x3 lift of a coset element.
 

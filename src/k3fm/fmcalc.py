@@ -22,7 +22,7 @@ from .errors import (
     InvalidLevel,
     LevelMismatch,
 )
-from .modgroup import ALElement, al_inverse, al_mul, is_fricke, translation
+from .modgroup import ALElement, al_inverse, al_mul, is_fricke
 
 __all__ = [
     "MukaiVector",
@@ -34,7 +34,6 @@ __all__ = [
     "isotropic_vector",
     "source_twist",
     "induced_transform",
-    "translation_transform",
     "same_partner",
     "compose",
     "invert",
@@ -199,13 +198,6 @@ def induced_transform(d: int, r: int) -> InducedTransform:
         raise InternalClosureViolation("source twist failed to clear r^2")
     image = ALElement(d, s, 1, -k, 1, -n)
     return InducedTransform(partner_label(d, r), partner_label(d, 1), image, r, n, 1)
-
-
-def translation_transform(d: int, m: int, r: int = 1) -> InducedTransform:
-    """Rank-zero transform of a partner to itself, acting as z -> z + m;
-    the integer m is the caller's datum, nothing here determines it."""
-    lab = partner_label(d, r)
-    return InducedTransform(lab, lab, translation(d, m), 0, 0, 0)
 
 
 def same_partner(t: InducedTransform) -> bool:

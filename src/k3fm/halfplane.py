@@ -21,7 +21,6 @@ from .modgroup import ALElement
 
 __all__ = [
     "HalfPlanePoint",
-    "TubeVector",
     "real_matrix",
     "embed",
     "mobius",
@@ -36,27 +35,20 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
-    """z = u + i*v with v > 0."""
+    """z = u + i*v with u, v finite and v > 0."""
 
     u: float
     v: float
 
     def __post_init__(self) -> None:
-        if not self.v > 0:
-            raise NotInUpperHalfPlane(f"v={self.v} is not positive")
+        # Chained comparisons are False for nan, so this also refuses it.
+        if not (0 < self.v < math.inf and -math.inf < self.u < math.inf):
+            raise NotInUpperHalfPlane(
+                f"({self.u}, {self.v}) is not a finite point with v > 0")
 
     @property
     def z(self) -> complex:
         return complex(self.u, self.v)
-
-
-@dataclass(frozen=True)
-class TubeVector:
-    """The class of exp(z*L) = (1, z, d*z^2) in coordinates (e0, ell, e4);
-    isotropic, and positively paired with its conjugate."""
-
-    d: int
-    components: tuple[complex, complex, complex]
 
 
 def real_matrix(w: ALElement) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -69,10 +61,11 @@ def real_matrix(w: ALElement) -> tuple[tuple[float, float], tuple[float, float]]
     )
 
 
-def embed(z: HalfPlanePoint, d: int) -> TubeVector:
-    """z -> [exp(z*L)] = (1, z, d*z^2)."""
+def embed(z: HalfPlanePoint, d: int) -> tuple[complex, complex, complex]:
+    """z -> [exp(z*L)] = (1, z, d*z^2) in coordinates (e0, ell, e4); isotropic,
+    and positively paired with its conjugate."""
     zz = z.z
-    return TubeVector(d, (complex(1.0), zz, d * zz * zz))
+    return (complex(1.0), zz, d * zz * zz)
 
 
 def mobius(w: ALElement, z: HalfPlanePoint) -> HalfPlanePoint:
@@ -141,9 +134,9 @@ def equivariance_defect(
     if g.d != w.d:
         raise LevelMismatch("matrix level does not match the element")
     gm = tuple(tuple(float(x) for x in row) for row in g.m)
-    tv = embed(z, w.d).components
+    tv = embed(z, w.d)
     x = tuple(sum(gm[i][k] * tv[k] for k in range(3)) for i in range(3))
-    y = embed(mobius(w, z), w.d).components
+    y = embed(mobius(w, z), w.d)
     j = max(range(3), key=lambda i: abs(x[i]) + abs(y[i]))
     if abs(x[j]) < _TINY or abs(y[j]) < _TINY:
         raise NumericalPole("projectivization degenerated")

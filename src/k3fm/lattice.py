@@ -36,7 +36,6 @@ __all__ = [
     "is_isometry",
     "is_orientation_preserving",
     "discriminant_unit",
-    "in_star_kernel",
     "isometry_product",
     "isometry_neg",
     "isometry_to_json",
@@ -212,11 +211,6 @@ def discriminant_unit(g: IsometryN) -> DiscriminantUnit:
     return DiscriminantUnit(g.d, u)
 
 
-def in_star_kernel(g: IsometryN) -> bool:
-    """True iff g acts trivially on the discriminant group."""
-    return discriminant_unit(g).u == 1
-
-
 def isometry_product(g: IsometryN, h: IsometryN) -> IsometryN:
     if g.d != h.d:
         raise LevelMismatch(f"cannot compose matrices at d={g.d} and d={h.d}")
@@ -233,12 +227,15 @@ def isometry_to_json(g: IsometryN) -> list:
 
 
 def isometry_from_json(obj, d: int) -> IsometryN:
+    """Entries are JSON integers or rational strings; floats are refused."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ValueError("expected a 3x3 array")
     rows = []
     for row in obj:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise ValueError("expected a 3x3 array")
+        if any(isinstance(x, float) for x in row):
+            raise ValueError("floats are refused; use integers or rational strings")
         try:
             rows.append(tuple(_as_exact(Fraction(str(x))) for x in row))
         except (ValueError, ZeroDivisionError) as exc:

@@ -34,12 +34,10 @@ __all__ = [
     "ALElement",
     "CosetLabel",
     "al_identity",
-    "al_from_tuple",
     "translation",
     "al_mul",
     "al_inverse",
     "is_fricke",
-    "coset_labels",
     "fricke_coset_count",
     "base_element",
     "random_gamma0",
@@ -107,11 +105,6 @@ def al_identity(d: int) -> ALElement:
     return ALElement(d, 1, 1, 0, 0, 1)
 
 
-def al_from_tuple(d: int, s: int, a: int, b: int, c: int, e: int) -> ALElement:
-    """Validation entry point; rejects bad levels and bad determinants."""
-    return ALElement(d, s, a, b, c, e)
-
-
 def translation(d: int, m: int) -> ALElement:
     """The Gamma0(d) element acting as z -> z + m."""
     return ALElement(d, 1, 1, m, 0, 1)
@@ -153,10 +146,6 @@ def al_inverse(w: ALElement) -> ALElement:
 
 def is_fricke(w: ALElement) -> bool:
     return w.s in (1, w.d)
-
-
-def coset_labels(d: int) -> tuple[CosetLabel, ...]:
-    return tuple(CosetLabel(d, s) for s in exact_divisor_values(d))
 
 
 def fricke_coset_count(d: int) -> int:

@@ -4,10 +4,8 @@ import random
 import pytest
 
 from k3fm.arith import (
-    ExactDivisor,
     Factorization,
     exact_divisor_values,
-    exact_divisors,
     factorize,
     is_exact_divisor,
     mod_inverse,
@@ -77,6 +75,7 @@ def test_exact_divisors_examples():
     assert exact_divisor_values(6) == (1, 2, 3, 6)
     # 2 and 6 fail the coprimality test
     assert exact_divisor_values(12) == (1, 3, 4, 12)
+    assert not is_exact_divisor(2, 12)
 
 
 def test_exact_divisors_against_brute_force():
@@ -87,12 +86,6 @@ def test_exact_divisors_against_brute_force():
 def test_exact_divisor_count_formula():
     for d in range(1, 10_001):
         assert len(exact_divisor_values(d)) == 2 ** factorize(d).omega
-
-
-def test_exact_divisor_type_validates():
-    assert exact_divisors(6) == tuple(ExactDivisor(6, s) for s in (1, 2, 3, 6))
-    with pytest.raises(ValueError):
-        ExactDivisor(12, 2)
 
 
 def test_star_examples():

@@ -123,6 +123,12 @@ def test_classify_parse_error_exits_4(tmp_path, capsys):
     path.write_text(json.dumps({"d": "6", "s": "2"}))
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 4
+    # floats are refused, also when they hold an integral value
+    for entry in (1.0, 0.5):
+        path.write_text(json.dumps([[entry, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        code, out, err = run_cli(capsys, "classify", "--d", "6", str(path))
+        assert (code, out) == (4, "")
+        assert "malformed input" in err
 
 
 def test_classify_requires_level_for_matrices(tmp_path, capsys):
@@ -131,6 +137,10 @@ def test_classify_requires_level_for_matrices(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "--d" in err
+    for d in ("0", "-3"):
+        code, _, err = run_cli(capsys, "classify", "--d", d, str(path))
+        assert code == 2
+        assert "must be positive" in err
 
 
 def test_verify_deterministic_and_green(capsys):
@@ -168,6 +178,10 @@ def test_verify_usage_error(capsys):
     assert "invalid range" in err
     code, _, err = run_cli(capsys, "verify", "--samples", "0")
     assert code == 2
+    for tol in ("nan", "-1", "0", "inf"):
+        code, out, err = run_cli(capsys, "verify", "--d-max", "1", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "tolerance" in err
 
 
 def test_verify_text_and_csv_formats(capsys):
@@ -186,7 +200,7 @@ def test_run_verify_api():
     assert code == 0
     assert report["total_failures"] == 0
     assert VerifyConfig(d_min=2, d_max=1).validate() is not None
-    assert VerifyConfig(fmt="yaml").validate() is not None
+    assert VerifyConfig(tolerance=float("nan")).validate() is not None
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -19,10 +19,9 @@ from k3fm.fmcalc import (
     partner_label,
     same_partner,
     source_twist,
-    translation_transform,
 )
 from k3fm.lattice import LatticeVector, mukai_pairing
-from k3fm.modgroup import al_identity, fricke_coset_count, is_fricke
+from k3fm.modgroup import al_identity, fricke_coset_count, is_fricke, translation
 
 
 def brute_partner_classes(d):
@@ -148,7 +147,8 @@ def test_same_partner_agrees_with_endpoints():
 
 def test_compose_identity_and_levels():
     t = induced_transform(6, 2)
-    ident = translation_transform(6, 0, r=2)
+    lab = partner_label(6, 2)
+    ident = InducedTransform(lab, lab, translation(6, 0), 0, 0, 0)
     assert compose(t, ident) == t
     # distinct W_2 and W_3 images compose to the Fricke coset W_6
     t2 = induced_transform(6, 3)  # image level 2
@@ -161,7 +161,8 @@ def test_compose_endpoint_mismatch():
     with pytest.raises(EndpointMismatch):
         compose(t, t)  # target of t is X, source is the r=2 partner
     with pytest.raises(EndpointMismatch):
-        compose(t, translation_transform(30, 1))
+        lab = partner_label(30, 1)
+        compose(t, InducedTransform(lab, lab, translation(30, 1), 0, 0, 0))
 
 
 def test_invert_swaps_twists():
@@ -174,7 +175,8 @@ def test_invert_swaps_twists():
 
 
 def test_translation_transform():
-    t = translation_transform(6, 3)
+    lab = partner_label(6, 1)
+    t = InducedTransform(lab, lab, translation(6, 3), 0, 0, 0)
     assert t.rank == 0 and t.source == t.target
     assert (t.image.a, t.image.b, t.image.c, t.image.e) == (1, 3, 0, 1)
     assert same_partner(t)

@@ -37,12 +37,12 @@ def tube_conjugate_pairing(d, v):
 
 
 def test_embed_examples():
-    tv = embed(HalfPlanePoint(0.0, 1.0), 7).components
+    tv = embed(HalfPlanePoint(0.0, 1.0), 7)
     assert tv[0] == 1 and tv[1] == 1j and tv[2] == -7
     # real and imaginary parts span the orientation plane of the lattice side
     assert [x.real for x in tv] == [1.0, 0.0, -7.0]
     assert [x.imag for x in tv] == [0.0, 1.0, 0.0]
-    tv = embed(HalfPlanePoint(1.0, 1.0), 2).components
+    tv = embed(HalfPlanePoint(1.0, 1.0), 2)
     assert tv == (1, 1 + 1j, 4j)
 
 
@@ -51,13 +51,13 @@ def test_embed_invariants():
     for d in (1, 2, 6, 30):
         for _ in range(50):
             z = random_point(rng)
-            v = embed(z, d).components
+            v = embed(z, d)
             scale = max(abs(x) for x in v) ** 2
             assert abs(tube_self_pairing(d, v)) <= LOCAL_TOL * scale
             assert tube_conjugate_pairing(d, v).real > 0
     # positivity grows like t^2 along the imaginary axis
-    low = tube_conjugate_pairing(2, embed(HalfPlanePoint(0, 10.0), 2).components)
-    high = tube_conjugate_pairing(2, embed(HalfPlanePoint(0, 100.0), 2).components)
+    low = tube_conjugate_pairing(2, embed(HalfPlanePoint(0, 10.0), 2))
+    high = tube_conjugate_pairing(2, embed(HalfPlanePoint(0, 100.0), 2))
     assert high.real > 90 * low.real
 
 
@@ -66,6 +66,11 @@ def test_halfplane_guard():
         HalfPlanePoint(0.0, 0.0)
     with pytest.raises(NotInUpperHalfPlane):
         HalfPlanePoint(1.0, -2.0)
+    inf, nan = float("inf"), float("nan")
+    for u, v in ((nan, inf), (0.0, inf), (0.0, nan),
+                 (inf, 1.0), (-inf, 1.0), (nan, 1.0)):
+        with pytest.raises(NotInUpperHalfPlane):
+            HalfPlanePoint(u, v)
 
 
 def test_real_matrix_determinant():

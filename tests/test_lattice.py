@@ -13,7 +13,6 @@ from k3fm.lattice import (
     discriminant_unit,
     gram_matrix,
     identity_matrix,
-    in_star_kernel,
     is_isometry,
     is_orientation_preserving,
     isometry_from_json,
@@ -150,12 +149,12 @@ def test_discriminant_unit_multiplicative():
 def test_star_kernel():
     d = 6
     one = IsometryN(d, identity_matrix())
-    assert in_star_kernel(one)
-    assert not in_star_kernel(isometry_neg(one))
+    assert discriminant_unit(one).u == 1
+    assert discriminant_unit(isometry_neg(one)).u != 1
     rng = random.Random(14)
     for _ in range(1000):
         g = represent(random_gamma0(d, rng))
-        assert in_star_kernel(g)
+        assert discriminant_unit(g).u == 1
 
 
 def test_unit_square_identity_on_samples():
@@ -203,6 +202,8 @@ def test_isometry_json_round_trip():
         isometry_from_json([[1, 2], [3, 4]], 5)
     with pytest.raises(ValueError):
         isometry_from_json([["1", "2", "x"], ["0", "1", "0"], ["0", "0", "1"]], 5)
+    with pytest.raises(ValueError):
+        isometry_from_json([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], 5)
 
 
 def test_exactness_guard():

@@ -8,13 +8,11 @@ from k3fm.modgroup import (
     ALElement,
     CosetLabel,
     al_from_json,
-    al_from_tuple,
     al_identity,
     al_inverse,
     al_mul,
     al_to_json,
     base_element,
-    coset_labels,
     fricke_coset_count,
     is_fricke,
     random_al,
@@ -49,15 +47,15 @@ def test_identity_law_random():
 
 
 def test_from_tuple_examples():
-    w = al_from_tuple(2, 2, 1, -1, 1, 0)  # 1*0*2 - (-1)*1*1 = 1
+    w = ALElement(2, 2, 1, -1, 1, 0)  # 1*0*2 - (-1)*1*1 = 1
     assert w.s == 2
     with pytest.raises(InvalidLevel):
-        al_from_tuple(4, 2, 1, 0, 0, 1)  # gcd(2, 4/2) = 2
+        ALElement(4, 2, 1, 0, 0, 1)  # gcd(2, 4/2) = 2
     # c multiplies d in the real matrix, so this is [[1,0],[36,1]] in Gamma0(6)
-    w = al_from_tuple(6, 1, 1, 0, 6, 1)
+    w = ALElement(6, 1, 1, 0, 6, 1)
     assert w.s == 1
     with pytest.raises(InvalidDeterminant):
-        al_from_tuple(6, 1, 1, 1, 1, 1)
+        ALElement(6, 1, 1, 1, 1, 1)
 
 
 def test_sign_normalization():
@@ -170,8 +168,8 @@ def test_random_gamma0_validates_and_stays_level_one():
     for _ in range(1000):
         w = random_gamma0(6, rng)
         assert w.s == 1
-        # validator re-check through the public constructor
-        assert al_from_tuple(w.d, w.s, w.a, w.b, w.c, w.e) == w
+        # validator re-check through the constructor
+        assert ALElement(w.d, w.s, w.a, w.b, w.c, w.e) == w
 
 
 def test_random_al_levels_and_coset_law():
@@ -194,7 +192,6 @@ def test_coset_count():
         omega = factorize(d).omega
         expected = 1 if d == 1 else 2 ** (omega - 1)
         assert fricke_coset_count(d) == expected
-    assert len(coset_labels(30)) == 8
 
 
 def test_translation_powers():
