@@ -1,5 +1,8 @@
+import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +22,12 @@ from k3fm.lattice import (
     is_isometry,
     is_orientation_preserving,
     isometry_neg,
+    mat_det,
+    mat_neg,
     isometry_product,
 )
 from k3fm.modgroup import (
+    ALElement,
     al_identity,
     al_inverse,
     al_mul,
@@ -144,3 +150,70 @@ def test_report_serializes():
     text = json.dumps(payload)
     assert json.loads(text)["d"] == "2"
     assert json.loads(text)["failures"] == []
+
+
+# --- reference oracle: the exhaustive descend --------------------------------
+
+
+def _descend_reference(g):
+    """Every exact divisor times all 16 sign patterns, compared by lifting."""
+    if not g.is_integral:
+        raise NotInImage("matrix is not integral")
+    det = mat_det(g.m)
+    if det not in (1, -1):
+        raise NotInImage(f"determinant {det} is not +-1")
+    h = g.m if det == 1 else mat_neg(g.m)
+    for s in exact_divisor_values(g.d):
+        t = g.d // s
+        roots = []
+        for num, div in ((h[0][0], s), (h[2][2], s), (h[2][0], t), (h[0][2], t)):
+            q, rem = divmod(num, div)
+            root = math.isqrt(q) if q >= 0 and not rem else -1
+            if root < 0 or root * root != q:
+                break
+            roots.append(root)
+        else:
+            e0, a0, b0, c0 = roots
+            for sa, sb, sc, se in itertools.product((1, -1), repeat=4):
+                a, b, c, e = sa * a0, sb * b0, sc * c0, se * e0
+                if a * e * s - b * c * t != 1:
+                    continue
+                w = ALElement(g.d, s, a, b, c, e)
+                if represent(w).m == h:
+                    return w
+    raise NotInImage("entry pattern matches no Atkin-Lehner coset")
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+def _oracle_inputs(d, s, rng):
+    g = represent(random_al(d, s, rng))
+    flip = IsometryN(d, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    yield g
+    yield isometry_neg(g)
+    yield isometry_product(flip, g)
+    yield isometry_product(g, flip)
+    for i in range(3):
+        for j in range(3):
+            for step in (1, -1):
+                rows = [list(row) for row in g.m]
+                rows[i][j] += step
+                yield IsometryN(d, tuple(map(tuple, rows)))
+
+
+def test_descend_agrees_with_exhaustive_reference():
+    rng = random.Random(31)
+    for d in list(range(1, 61)) + [2310, 30030, 510510, 9699690]:
+        values = exact_divisor_values(d)
+        levels = values if len(values) <= 16 else rng.sample(values, 6)
+        for s in levels:
+            for g in _oracle_inputs(d, s, rng):
+                expected = _outcome(_descend_reference, g)
+                assert _outcome(descend, g) == expected, (d, s, g.m)
+    half = IsometryN(6, ((1, 0, 0), (0, 1, 0), (Fraction(1, 2), 0, 1)))
+    assert _outcome(descend, half) is _outcome(_descend_reference, half) is NotInImage

@@ -211,3 +211,60 @@ def test_exactness_guard():
         IsometryN(2, ((1.5, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(TypeError):
         LatticeVector(2, (0.1, 0, 0))
+
+
+def _is_isometry_reference(g):
+    """transpose(m) * Gram * m == Gram by plain 3x3 products."""
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+            for i in range(3)
+        )
+
+    mt = tuple(tuple(g.m[j][i] for j in range(3)) for i in range(3))
+    gram = gram_matrix(g.d)
+    return mul(mt, mul(gram, g.m)) == gram
+
+
+def _perturbed(g, step):
+    for i in range(3):
+        for j in range(3):
+            rows = [list(row) for row in g.m]
+            rows[i][j] += step
+            yield IsometryN(g.d, tuple(map(tuple, rows)))
+
+
+def _rational_lift(d, alpha, beta, gamma, delta):
+    """3x3 image of a determinant-one real matrix; rational unless d | gamma."""
+    return IsometryN(d, (
+        (delta**2, 2 * gamma * delta, Fraction(gamma**2, d)),
+        (beta * delta, alpha * delta + beta * gamma, Fraction(alpha * gamma, d)),
+        (d * beta**2, 2 * d * alpha * beta, alpha**2),
+    ))
+
+
+def test_is_isometry_agrees_with_gram_product_reference():
+    rng = random.Random(16)
+    flip = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
+    matrices = []
+    for d in (1, 2, 6, 30, 2310, 510510):
+        values = exact_divisor_values(d)
+        for s in rng.sample(values, min(len(values), 6)):
+            g = represent(random_al(d, s, rng))
+            matrices += [g, isometry_neg(g), isometry_product(IsometryN(d, flip), g)]
+            matrices += _perturbed(g, rng.choice((1, -1)))
+        for _ in range(20):
+            m = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+            matrices.append(IsometryN(d, m))
+        for alpha, beta, gamma, delta in ((2, 1, 1, 1), (1, 0, 3, 1), (5, 2, 2, 1)):
+            h = _rational_lift(d, alpha, beta, gamma, delta)
+            matrices += [h, isometry_neg(h)]
+            matrices += _perturbed(h, Fraction(1, 2))
+            matrices += _perturbed(h, Fraction(-1, 3))
+    outcomes = set()
+    for g in matrices:
+        expected = _is_isometry_reference(g)
+        assert is_isometry(g) == expected, (g.d, g.m)
+        outcomes.add((g.is_integral, expected))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

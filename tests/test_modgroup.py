@@ -220,3 +220,46 @@ def test_closure_violation_is_a_bug_trap():
     # al_mul's divisibility asserts never fire on valid input; simulate the
     # trap by checking the exception type exists and is a RuntimeError.
     assert issubclass(InternalClosureViolation, RuntimeError)
+
+
+# First 20 random_gamma0 draws (a, b, c, e) per (d, seed), recorded before the
+# closed-form sampler, and the generator's next 32 bits after them: both the
+# elements and the number of RNG calls are pinned.
+GAMMA0_NEXT_BITS = {(1, 41): 1189540540, (6, 42): 568275055, (30030, 43): 2184167071}
+GAMMA0_PINS = {
+    (1, 41): [
+        (11, 84, 3, 23), (9, 19, -1, -2), (22, -147, 3, -20), (52, 447, 5, 43),
+        (65, 577, -8, -71), (4, 5, -1, -1), (29, -267, 5, -46), (49, -106, -6, 13),
+        (71, 631, 9, 80), (48, -67, -5, 7), (29, -315, 7, -76), (13, -122, -5, 47),
+        (17, -26, 2, -3), (80, 823, -7, -72), (34, -333, -5, 49), (27, 266, 7, 69),
+        (39, 112, 8, 23), (34, -83, -9, 22), (13, 43, 3, 10), (15, -52, -2, 7),
+    ],
+    (6, 42): [
+        (607, -1042, -10, 103), (259, -2108, 6, -293), (187, -427, 10, -137),
+        (41, 368, 7, 377), (161, 369, -4, -55), (55, 542, -8, -473),
+        (433, -1724, 9, -215), (143, -564, -3, 71), (299, 304, -10, -61),
+        (173, 124, -10, -43), (35, -207, -2, 71), (283, -2319, -6, 295),
+        (127, -963, -2, 91), (127, -759, 7, -251), (37, 228, 1, 37), (67, -86, 10, -77),
+        (247, -1434, 6, -209), (103, -133, -4, 31), (137, 1116, -8, -391),
+        (53, 349, -2, -79),
+    ],
+    (30030, 43): [
+        (1621619, 4864863, -9, -810811), (300301, 2702704, -2, -540539),
+        (1051051, 5, 7, 1), (540539, -2702686, -2, 300299), (270269, 3, -3, -1),
+        (480479, -1441435, -8, 720719), (600599, 3002990, 4, 600599), (1, -7, 0, 1),
+        (90089, -180181, 1, -60061), (1441439, 15855823, 8, 2642639),
+        (1681679, -8408388, -8, 1201199), (1501501, -12012018, -5, 1201201),
+        (1201199, 4, -10, -1), (960961, -3843836, 4, -480479), (2402399, -8, 10, -1),
+        (90089, 720709, 1, 240239), (120121, 120119, -2, -60059),
+        (2162161, -8648653, -8, 960961), (840841, 5045039, -4, -720719), (1, 2, 0, 1),
+    ],
+}
+
+
+def test_random_gamma0_pinned_draws():
+    for (d, seed), expected in GAMMA0_PINS.items():
+        rng = random.Random(seed)
+        got = [random_gamma0(d, rng) for _ in range(20)]
+        assert [(w.a, w.b, w.c, w.e) for w in got] == expected
+        assert all(w.d == d and w.s == 1 for w in got)
+        assert rng.getrandbits(32) == GAMMA0_NEXT_BITS[d, seed]
