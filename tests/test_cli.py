@@ -131,6 +131,25 @@ def test_classify_parse_error_exits_4(tmp_path, capsys):
         assert "malformed input" in err
 
 
+def test_classify_unreadable_input_exits_4(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "classify", "--d", "6", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cannot read input: ")
+    # an integer JSON cannot convert is rejected like any other bad input
+    path.write_text("[[" + "1" * 5000 + ", 0, 0], [0, 1, 0], [0, 0, 1]]")
+    code, out, err = run_cli(capsys, "classify", "--d", "6", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: input is not JSON: ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "classify", "--d", "6"],
+        input=b"\xff\xfe", capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+
+
 def test_classify_requires_level_for_matrices(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))

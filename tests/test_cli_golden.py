@@ -203,7 +203,21 @@ CASES = {
     'classify-missing-file': (
         'classify --d 6 no/such/input.json', None, 4, "error: cannot read input: [Errno 2] No such file or directory: 'no/such/input.json'\n",
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-
+    'classify-element-int-fields': (
+        'classify', '{"d": 30, "s": 5, "abce": [5, 4, 1, 1]}', 0, '',
+        '14d572b63872e03ec8756e8274b9406227ae7793ab3e087a8b9b55f314c8c3df'),
+    'classify-element-negative-string': (
+        'classify', '{"d": "2", "s": "2", "abce": ["0", "-1", "1", "0"]}', 0, '',
+        'a3b5081d2418c4f87ce0dcd56555a71d70ccc43cca3dd985c6ffbbee34536f3f'),
+    'classify-element-float': (
+        'classify', '{"d": 6.9, "s": "2", "abce": [2.5, 1, true, 1]}', 4, 'error: malformed input: malformed element encoding: expected an integer or a decimal-integer string, got 6.9\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'classify-element-bool': (
+        'classify', '{"d": "6", "s": "2", "abce": ["2", "1", true, "1"]}', 4, 'error: malformed input: malformed element encoding: expected an integer or a decimal-integer string, got True\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'classify-element-underscore': (
+        'classify', '{"d": "30", "s": "0_5", "abce": ["5", "4", "1", "1"]}', 4, "error: malformed input: malformed element encoding: expected an integer or a decimal-integer string, got '0_5'\n",
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
 
@@ -220,3 +234,12 @@ def _run(capsys, monkeypatch, argv, stdin):
 def test_cli_golden(case, capsys, monkeypatch):
     argv, stdin, code, err, digest = CASES[case]
     assert _run(capsys, monkeypatch, argv, stdin) == (code, err, digest)
+
+
+def test_cli_golden_non_utf8_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe")
+    err = ("error: cannot read input: 'utf-8' codec can't decode byte 0xff in "
+           "position 0: invalid start byte\n")
+    assert _run(capsys, monkeypatch, f"classify --d 6 {path}", None) == (
+        4, err, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855')

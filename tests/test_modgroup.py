@@ -216,6 +216,19 @@ def test_json_round_trip():
         al_from_json({"d": "6", "s": "2", "abce": ["1", "x", "1", "1"]})
 
 
+def test_json_refuses_floats_bools_and_loose_strings():
+    assert al_from_json({"d": 6, "s": 2, "abce": [2, 1, 1, 1]}) == base_element(6, 2)
+    assert al_from_json({"d": "6", "s": "2", "abce": ["-2", "-1", "-1", "-1"]}) == (
+        base_element(6, 2))
+    for bad in (6.9, 6.0, True, " 6", "6.0", "+6", "6_0", "", "\u0666", None):
+        with pytest.raises(ValueError):
+            al_from_json({"d": bad, "s": "2", "abce": ["2", "1", "1", "1"]})
+        with pytest.raises(ValueError):
+            al_from_json({"d": "6", "s": "2", "abce": ["2", "1", bad, "1"]})
+    with pytest.raises(ValueError):
+        al_from_json({"d": "6", "s": "2", "abce": ["2", "1", "1", "9" * 5000]})
+
+
 def test_closure_violation_is_a_bug_trap():
     # al_mul's divisibility asserts never fire on valid input; simulate the
     # trap by checking the exception type exists and is a RuntimeError.
