@@ -161,9 +161,9 @@ def _cmd_classify(args) -> int:
         _check_positive(args.d)
     try:
         obj = json.loads(_read_input(args.path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(4, f"cannot read input: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise _Exit(4, f"input is not JSON: {exc}") from None
 
     try:

@@ -3,7 +3,8 @@
 `represent` lifts a 2x2 coset element to a 3x3 integral isometry through
 hand-expanded entry formulas in which every sqrt(s) cancels, so integrality
 is an identity rather than a rounding question.  `descend` inverts the lift
-by recognizing the entry pattern, trying each of the few candidate levels.
+by reading the only possible level off the corner entries,
+s = gcd(h11, h33, d), and then checking the full entry pattern at that level.
 `verify_correspondence` samples every coset of a level and certifies, at
 desk scale, that the lift is integral, Gram-preserving, orientation
 preserving, invertible by `descend`, and acts on the discriminant group by
@@ -16,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import exact_divisor_values
+from .arith import exact_divisor_values, is_exact_divisor
 from .errors import IntegralityViolation, K3FMError, NotInImage
 from .lattice import (
     IsometryN,
@@ -62,42 +63,41 @@ def represent(w: ALElement) -> IsometryN:
 
 
 def _match_level(h, d: int, s: int) -> ALElement | None:
-    """Try to read a level-s quintuple off the integer matrix h (det +1)."""
+    """Read a level-s quintuple off the integer matrix h (det +1), or None.
+
+    The corners give |a|, |b|, |c|, |e|, and up to the projective sign the
+    signs are forced: with e > 0 by h21 = b*e, h12 = 2*c*d*e and
+    h22 + 1 = 2*a*e*s; with e = 0, b*c*(d/s) = -1, so c > 0 means b < 0 and
+    h23 = a*c signs a.  The whole entry pattern is checked last.
+    """
     t = d // s
     (h11, h12, h13), (h21, h22, h23), (h31, h32, h33) = h
-    squares = []
+    roots = []
     for num, div in ((h11, s), (h33, s), (h31, t), (h13, t)):
         q, rem = divmod(num, div)
-        if rem or q < 0:
+        root = math.isqrt(q) if q >= 0 and not rem else -1
+        if root < 0 or root * root != q:
             return None
-        root = math.isqrt(q)
-        if root * root != q:
-            return None
-        squares.append(root)
-    e0, a0, b0, c0 = squares
-    for a in (a0, -a0) if a0 else (0,):
-        for b in (b0, -b0) if b0 else (0,):
-            for c in (c0, -c0) if c0 else (0,):
-                for e in (e0, -e0) if e0 else (0,):
-                    if a * e * s - b * c * t != 1:
-                        continue
-                    if (
-                        b * e == h21
-                        and a * c == h23
-                        and a * e * s + b * c * t == h22
-                        and 2 * c * d * e == h12
-                        and 2 * a * b * d == h32
-                    ):
-                        return ALElement(d, s, a, b, c, e)
-    return None
+        roots.append(root)
+    e, a, b, c = roots
+    if e:
+        a, b, c = a if h22 >= 0 else -a, b if h21 > 0 else -b, c if h12 > 0 else -c
+    else:
+        a, b = (a if h23 > 0 else -a), -b
+    pattern = (a * e * s - b * c * t, b * e, a * c, a * e * s + b * c * t,
+              2 * c * d * e, 2 * a * b * d)
+    if pattern != (1, h21, h23, h22, h12, h32):
+        return None
+    return ALElement(d, s, a, b, c, e)
 
 
 def descend(g: IsometryN) -> ALElement:
     """Recover the unique coset element whose lift is g up to sign.
 
-    Exactly one of g, -g has determinant +1 (the rank is odd); that
-    representative must match the lift's entry pattern for exactly one
-    candidate level because the cosets partition the group.
+    Exactly one of g, -g has determinant +1 (the rank is odd); call it h.  A
+    level-s lift has h11 = e^2*s and h33 = a^2*s, and a*e*s - b*c*(d/s) = 1
+    makes a and e prime to d/s, so s = gcd(h11, h33, d) is the only level
+    whose entry pattern h can match.
     """
     if not g.is_integral:
         raise NotInImage("matrix is not integral")
@@ -108,12 +108,11 @@ def descend(g: IsometryN) -> ALElement:
         h = mat_neg(g.m)
     else:
         raise NotInImage(f"determinant {det} is not +-1")
-    hi = tuple(tuple(int(x) for x in row) for row in h)
-    for s in exact_divisor_values(g.d):
-        w = _match_level(hi, g.d, s)
-        if w is not None:
-            return w
-    raise NotInImage("entry pattern matches no Atkin-Lehner coset")
+    s = math.gcd(h[0][0], h[2][2], g.d)
+    w = _match_level(h, g.d, s) if is_exact_divisor(s, g.d) else None
+    if w is None:
+        raise NotInImage("entry pattern matches no Atkin-Lehner coset")
+    return w
 
 
 def classify_coset(g: IsometryN) -> CosetLabel:
@@ -134,9 +133,8 @@ def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
         failed.append("integral")
     if not is_isometry(g):
         failed.append("isometry")
-    else:
-        if not is_orientation_preserving(g):
-            failed.append("orientation")
+    elif not is_orientation_preserving(g):
+        failed.append("orientation")
     try:
         if descend(g) != w:
             failed.append("round_trip")

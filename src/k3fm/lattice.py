@@ -29,7 +29,6 @@ __all__ = [
     "identity_matrix",
     "mat_mul",
     "mat_vec",
-    "mat_transpose",
     "mat_neg",
     "mat_det",
     "mukai_pairing",
@@ -74,10 +73,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
 
 
 def mat_neg(a: Matrix) -> Matrix:
@@ -159,9 +154,13 @@ class DiscriminantUnit:
 
 
 def is_isometry(g: IsometryN) -> bool:
-    """Exact check of transpose(m) * Gram * m == Gram."""
-    gram = gram_matrix(g.d)
-    return mat_mul(mat_transpose(g.m), mat_mul(gram, g.m)) == gram
+    """Exact check of transpose(m) * Gram * m == Gram.  Entry (i, j) of the
+    left side is the pairing <c_i, c_j> of columns i and j of m, so the images
+    of (e0, ell, e4) must pair as the basis does; exact for int and Fraction."""
+    d = g.d
+    c0, c1, c2 = zip(*g.m)
+    return (_pair(d, c0, c2), _pair(d, c1, c1), _pair(d, c0, c0), _pair(d, c2, c2),
+            _pair(d, c0, c1), _pair(d, c1, c2)) == (-1, 2 * d, 0, 0, 0, 0)
 
 
 def is_orientation_preserving(g: IsometryN) -> bool:
@@ -173,17 +172,14 @@ def is_orientation_preserving(g: IsometryN) -> bool:
     inverse only scales by a positive factor and the sign of det(M) decides.
     det(M) cannot vanish for a true isometry: a kernel vector would be both
     positive (in the image plane) and negative (orthogonal to the plane).
+    With <q, p1> = d*q0 - q4 and <q, p2> = 2d*q_ell, det(M) is 2d times
+    (d*u0 - u4)*v_ell - u_ell*(d*v0 - v4) for u = g*p1 and v = g*p2.
     """
     if not is_isometry(g):
         raise NotAnIsometry("orientation test requires a Gram-preserving matrix")
-    p1 = (1, 0, -g.d)
-    p2 = (0, 1, 0)
-    q1 = mat_vec(g.m, p1)
-    q2 = mat_vec(g.m, p2)
-    det = _pair(g.d, q1, p1) * _pair(g.d, q2, p2) - _pair(g.d, q1, p2) * _pair(
-        g.d, q2, p1
-    )
-    return det > 0
+    d, m = g.d, g.m
+    u0, u_ell, u4 = (row[0] - d * row[2] for row in m)  # v = g*p2 is column 1
+    return (d * u0 - u4) * m[1][1] > u_ell * (d * m[0][1] - m[2][1])
 
 
 def discriminant_unit(g: IsometryN) -> DiscriminantUnit:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from .arith import exact_divisor_values, is_exact_divisor, mod_inverse, star
@@ -64,25 +65,20 @@ class ALElement:
     e: int
 
     def __post_init__(self) -> None:
-        for x in (self.d, self.s, self.a, self.b, self.c, self.e):
-            if not isinstance(x, int):
-                raise TypeError("ALElement entries must be integers")
-        if not is_exact_divisor(self.s, self.d):
-            raise InvalidLevel(f"s={self.s} is not an exact divisor of d={self.d}")
-        det = self.a * self.e * self.s - self.b * self.c * (self.d // self.s)
+        d, s, a, b, c, e = self.d, self.s, self.a, self.b, self.c, self.e
+        if not all(isinstance(x, int) for x in (d, s, a, b, c, e)):
+            raise TypeError("ALElement entries must be integers")
+        if not is_exact_divisor(s, d):
+            raise InvalidLevel(f"s={s} is not an exact divisor of d={d}")
+        det = a * e * s - b * c * (d // s)
         if det != 1:
             raise InvalidDeterminant(
                 f"a*e*s - b*c*(d/s) = {det} != 1 for "
-                f"(d,s,a,b,c,e)=({self.d},{self.s},{self.a},{self.b},{self.c},{self.e})"
+                f"(d,s,a,b,c,e)=({d},{s},{a},{b},{c},{e})"
             )
-        for x in (self.a, self.c, self.b, self.e):
-            if x:
-                if x < 0:
-                    object.__setattr__(self, "a", -self.a)
-                    object.__setattr__(self, "b", -self.b)
-                    object.__setattr__(self, "c", -self.c)
-                    object.__setattr__(self, "e", -self.e)
-                break
+        if (a or c or b or e) < 0:  # the first nonzero of (a, c, b, e)
+            for name, x in (("a", a), ("b", b), ("c", c), ("e", e)):
+                object.__setattr__(self, name, -x)
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
 
     Samples the bottom-left multiplier c in [-bound, bound] and a coprime
     top-left entry, completes to determinant one, then smears with random
-    translation powers on both sides.
+    translation powers on both sides; the result is validated once.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -187,14 +183,15 @@ def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
         if math.gcd(a, c * d) == 1:
             break
     if c == 0:
-        w = ALElement(d, 1, a, 0, 0, a)
+        b, e = 0, a
     else:
         e = mod_inverse(a, abs(c * d))
         b = (a * e - 1) // (c * d)
-        w = ALElement(d, 1, a, b, c, e)
     j = rng.randint(-bound, bound)
     k = rng.randint(-bound, bound)
-    return al_mul(al_mul(translation(d, j), w), translation(d, k))
+    # translation(d, j) * [[a, b], [c*d, e]] * translation(d, k), multiplied out
+    top = a + j * c * d
+    return ALElement(d, 1, top, top * k + b + j * e, c, e + k * c * d)
 
 
 def random_al(d: int, s: int, rng: random.Random, bound: int = 10) -> ALElement:
@@ -214,16 +211,25 @@ def al_to_json(w: ALElement) -> dict:
     }
 
 
+def _wire_int(x) -> int:
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"expected an integer or a decimal-integer string, got {x!r}")
+
+
 def al_from_json(obj: dict) -> ALElement:
+    """Inverse of al_to_json; JSON integers pass too, floats and bools do not."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     try:
-        d = int(obj["d"])
-        s = int(obj["s"])
+        d = _wire_int(obj["d"])
+        s = _wire_int(obj["s"])
         abce = obj["abce"]
         if not isinstance(abce, (list, tuple)) or len(abce) != 4:
             raise ValueError("abce must hold four integers")
-        a, b, c, e = (int(x) for x in abce)
+        a, b, c, e = map(_wire_int, abce)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element encoding: {exc}") from exc
     return ALElement(d, s, a, b, c, e)

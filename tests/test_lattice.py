@@ -227,6 +227,17 @@ def _is_isometry_reference(g):
     return mul(mt, mul(gram, g.m)) == gram
 
 
+def _orientation_reference(g):
+    """Sign of det <g*p_i, p_j> on the positive plane p1 = (1, 0, -d), p2 = ell."""
+    p1, p2 = (1, 0, -g.d), (0, 1, 0)
+    q1, q2 = mat_vec(g.m, p1), mat_vec(g.m, p2)
+    pair = LatticeVector(g.d, q1), LatticeVector(g.d, q2)
+    plane = LatticeVector(g.d, p1), LatticeVector(g.d, p2)
+    det = (mukai_pairing(pair[0], plane[0]) * mukai_pairing(pair[1], plane[1])
+           - mukai_pairing(pair[0], plane[1]) * mukai_pairing(pair[1], plane[0]))
+    return det > 0
+
+
 def _perturbed(g, step):
     for i in range(3):
         for j in range(3):
@@ -244,7 +255,7 @@ def _rational_lift(d, alpha, beta, gamma, delta):
     ))
 
 
-def test_is_isometry_agrees_with_gram_product_reference():
+def test_is_isometry_and_orientation_agree_with_references():
     rng = random.Random(16)
     flip = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
     matrices = []
@@ -259,12 +270,18 @@ def test_is_isometry_agrees_with_gram_product_reference():
             matrices.append(IsometryN(d, m))
         for alpha, beta, gamma, delta in ((2, 1, 1, 1), (1, 0, 3, 1), (5, 2, 2, 1)):
             h = _rational_lift(d, alpha, beta, gamma, delta)
-            matrices += [h, isometry_neg(h)]
+            matrices += [h, isometry_neg(h), isometry_product(IsometryN(d, flip), h)]
             matrices += _perturbed(h, Fraction(1, 2))
             matrices += _perturbed(h, Fraction(-1, 3))
     outcomes = set()
     for g in matrices:
         expected = _is_isometry_reference(g)
         assert is_isometry(g) == expected, (g.d, g.m)
-        outcomes.add((g.is_integral, expected))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+        if expected:
+            oriented = _orientation_reference(g)
+            assert is_orientation_preserving(g) == oriented, (g.d, g.m)
+        outcomes.add((g.is_integral, expected, expected and oriented))
+    assert outcomes == {
+        (True, True, True), (True, True, False), (True, False, False),
+        (False, True, True), (False, True, False), (False, False, False),
+    }
