@@ -102,12 +102,9 @@ def descend(g: IsometryN) -> ALElement:
     if not g.is_integral:
         raise NotInImage("matrix is not integral")
     det = mat_det(g.m)
-    if det == 1:
-        h = g.m
-    elif det == -1:
-        h = mat_neg(g.m)
-    else:
+    if det not in (1, -1):
         raise NotInImage(f"determinant {det} is not +-1")
+    h = g.m if det == 1 else mat_neg(g.m)
     s = math.gcd(h[0][0], h[2][2], g.d)
     w = _match_level(h, g.d, s) if is_exact_divisor(s, g.d) else None
     if w is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import ActionNotDiagonal, LevelMismatch, NotAnIsometry, NotIntegral
@@ -130,7 +131,7 @@ class IsometryN:
             self, "m", tuple(tuple(_as_exact(x) for x in row) for row in self.m)
         )
 
-    @property
+    @cached_property  # m is immutable; represent, descend and discriminant_unit all ask
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for row in self.m for x in row)
 
