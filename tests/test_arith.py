@@ -63,6 +63,89 @@ def test_factorize_against_sieve_oracle():
         assert factorize(2 * d).factors == factorize_via_sieve(2 * d, spf)
 
 
+def trial_is_prime(p):
+    """Trial division to isqrt(p), kept independent of factorize."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def trial_factorize(n):
+    """The plain trial-division factorization, as a reference."""
+    out = []
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def test_factorize_agrees_with_sieve_to_20000():
+    limit = 20_000
+    spf = sieve_smallest_factor(limit)
+    for n in range(1, limit + 1):
+        assert factorize(n).factors == factorize_via_sieve(n, spf), n
+
+
+def test_factorize_agrees_with_trial_division_on_random_n():
+    rng = random.Random(4)
+    primes = [p for p in range(2, 50_000) if trial_is_prime(p)]
+    large = [p for p in primes if p > 2048]
+    cases = [rng.randrange(1, 10**11) for _ in range(60)]
+    cases += [rng.choice(primes) ** rng.randint(1, 2) * rng.choice(large) * rng.choice(large)
+              for _ in range(200)]
+    for n in cases:
+        got = factorize(n).factors
+        assert got == trial_factorize(n), n
+        assert all(trial_is_prime(p) for p, _ in got), n
+
+
+# n -> its factorization.  2039 is the last prime below 2**11 and 2053,
+# 2063, 2069 the first ones above it, where trial division hands over.
+ADVERSARIAL = {
+    2053**2: ((2053, 2),),
+    2063**2: ((2063, 2),),
+    2069**2: ((2069, 2),),
+    2053**3: ((2053, 3),),
+    2063**3: ((2063, 3),),
+    2069**3: ((2069, 3),),
+    2039 * 2053: ((2039, 1), (2053, 1)),
+    561: ((3, 1), (11, 1), (17, 1)),  # Carmichael numbers
+    41041: ((7, 1), (11, 1), (13, 1), (41, 1)),
+    3215031751: ((151, 1), (751, 1), (28351, 1)),  # strong pseudoprimes
+    3825123056546413051: ((149491, 1), (747451, 1), (34233211, 1)),
+    2**64 - 59: ((2**64 - 59, 1),),  # the largest prime below 2**64
+    10**18 + 3: ((10**18 + 3, 1),),
+    (2**32 - 5) * (2**32 - 17): ((2**32 - 17, 1), (2**32 - 5, 1)),
+    4294967291**2: ((4294967291, 2),),
+    2 * 2147483647**2: ((2, 1), (2147483647, 2)),
+    2**64 - 1: ((3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)),
+    2**63: ((2, 63),),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ADVERSARIAL))
+def test_factorize_adversarial_within_budget(n, time_budget):
+    with time_budget(0.5):
+        got = factorize(n).factors
+    assert got == ADVERSARIAL[n]
+    # Primes past 2**40 would take trial division too long; the two there
+    # are known primes.
+    assert all(trial_is_prime(p) for p, _ in got if p < 2**40)
+
+
+def test_factorize_refuses_two_to_the_64():
+    assert factorize(2**64 - 1).omega == 7
+    for n in (2**64, 3**41, 10**30):
+        with pytest.raises(ValueError):
+            factorize(n)
+
+
 def test_factorization_invariants_enforced():
     with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # unsorted

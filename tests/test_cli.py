@@ -76,6 +76,40 @@ def test_partners_rejects_bad_d(capsys):
     assert "must be positive" in err
 
 
+def test_partners_large_prime_within_budget(capsys, time_budget):
+    with time_budget(2.0):
+        code, out, _ = run_cli(capsys, "partners", "--d", "1000000000000000003")
+    assert code == 0
+    assert json.loads(out)["fm_number"] == "1"
+
+
+def test_levels_from_two_to_the_64_exit_2(capsys, time_budget):
+    big, below = str(2**64), str(2**64 - 1)
+    for argv in (
+        ("partners", "--d", big),
+        ("table", "--d-min", big, "--d-max", big),
+        ("table", "--d-max", big),
+        ("verify", "--d-min", big, "--d-max", big, "--samples", "1"),
+        ("verify", "--d-max", big),
+    ):
+        with time_budget(2.0):
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: d must be below 2**64, got {big}\n", argv
+    with time_budget(2.0):
+        code, out, _ = run_cli(capsys, "partners", "--d", below)
+    assert code == 0
+    assert json.loads(out)["fm_number"] == "64"
+
+
+def test_classify_accepts_any_level(tmp_path, capsys):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    code, out, _ = run_cli(capsys, "classify", "--d", str(2**80), str(path))
+    assert code == 0
+    assert json.loads(out)["s"] == "1"
+
+
 def test_classify_identity(tmp_path, capsys, monkeypatch):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))

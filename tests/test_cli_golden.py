@@ -44,6 +44,24 @@ CASES = {
     'partners-9699690-json': (
         'partners --d 9699690 --format json', None, 0, '',
         '99af0254dfa1395d94b3c70467b783c2d6e70e67e5d9559ef4bd47fd6be7fe15'),
+    'partners-1099503239183-json': (
+        'partners --d 1099503239183 --format json', None, 0, '',
+        '10f2c5259fd0093ea7733fe2651edb3647272c4c566c07fd97127b4c82bb03f2'),
+    'partners-1099503239183-csv': (
+        'partners --d 1099503239183 --format csv', None, 0, '',
+        'ae9e92d51d0ec7bd73e08fd89be8a4613071bacd23200b2ca7561c8d925c43bd'),
+    'partners-1099503239183-text': (
+        'partners --d 1099503239183 --format text', None, 0, '',
+        'c8aa2c069e6d8861cdc879619993bb4cae5d75349487162b7e762616004a1087'),
+    'partners-d-2-64': (
+        'partners --d 18446744073709551616', None, 2, 'error: d must be below 2**64, got 18446744073709551616\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'table-d-2-64': (
+        'table --d-min 18446744073709551616 --d-max 18446744073709551616', None, 2, 'error: d must be below 2**64, got 18446744073709551616\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-d-2-64': (
+        'verify --d-min 18446744073709551616 --d-max 18446744073709551616 --samples 1', None, 2, 'error: d must be below 2**64, got 18446744073709551616\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'classify-identity-json': (
         'classify --d 6 --format json', IDENTITY, 0, '',
         '4a01dc7b792398973e51f4d2f24aa9450559423b1a1de8463a2db1ecb517cc65'),
