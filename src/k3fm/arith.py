@@ -3,10 +3,14 @@ product on them."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 __all__ = [
+    "FACTORIZE_BOUND",
     "Factorization",
     "factorize",
     "is_exact_divisor",
@@ -42,25 +46,119 @@ class Factorization:
         return len(self.factors)
 
 
+# Levels are factorized exactly below this bound: there the twelve
+# Miller-Rabin bases below are a proof of primality (they are exact below
+# 3.18e23) and Pollard rho needs about n**(1/4) steps.
+FACTORIZE_BOUND = 2**64
+
+# Trial division stops at this bound; cofactors it leaves are split by
+# Miller-Rabin and Pollard-Brent rho.
+_TRIAL_LIMIT = 2**11
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RHO_BATCH = 128  # rho steps per gcd
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
+
+
+# One table row, partners call or verify level asks for the same d from
+# several layers; the cache makes that one factorization.
+@functools.lru_cache(maxsize=256, typed=True)
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; n here is a polarization degree and
-    stays desk-scale."""
+    """Exact factorization of 1 <= n < FACTORIZE_BOUND.  Trial division by
+    the primes below _TRIAL_LIMIT; a cofactor that may still be composite
+    is split by a deterministic Miller-Rabin test and Pollard-Brent rho.
+    Below _TRIAL_LIMIT**2 only trial division runs."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("factorize requires a positive integer")
+    if n >= FACTORIZE_BOUND:
+        raise ValueError(f"factorize requires n < 2**64, got {n}")
     m = n
     out: list[tuple[int, int]] = []
-    p = 2
-    while p * p <= m:
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             k = 0
             while m % p == 0:
                 m //= p
                 k += 1
             out.append((p, k))
-        p += 1 if p == 2 else 2
+    else:  # m has no prime factor below _TRIAL_LIMIT, but may be composite
+        out += sorted(Counter(_prime_factors(m)).items())
+        m = 1
     if m > 1:
         out.append((m, 1))
     return Factorization(n, tuple(out))
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The prime factors of m, with multiplicity; m has none below
+    _TRIAL_LIMIT."""
+    if m == 1:
+        return []
+    if _is_prime(m):
+        return [m]
+    f = _rho_factor(m)
+    return _prime_factors(f) + _prime_factors(m // f)
+
+
+def _is_prime(m: int) -> bool:
+    """Strong-probable-prime test to every base in _MR_BASES; a proof of
+    primality for odd m > 37 below FACTORIZE_BOUND."""
+    q, r = m - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, q, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m: int) -> int:
+    """A proper divisor of the odd composite m: Pollard rho on x -> x^2 + c
+    with Brent's cycle finding, one gcd per _RHO_BATCH steps.  A c whose
+    batch gcd jumps straight to m is replaced by c + 1."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:  # redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
 
 
 def is_exact_divisor(s: int, d: int) -> bool:

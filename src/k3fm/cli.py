@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .arith import exact_divisor_values, factorize
+from .arith import FACTORIZE_BOUND, exact_divisor_values, factorize
 from .corr import classify_coset, report_to_json, represent, verify_correspondence
 from .errors import K3FMError, NotAnIsometry
 from .fmcalc import census_to_json, induced_transform, partner_census
@@ -54,7 +54,14 @@ class _Exit(Exception):
 
 
 def _range_problem(d_min: int, d_max: int) -> str | None:
-    return None if 1 <= d_min <= d_max else f"invalid range [{d_min}, {d_max}]"
+    """The usage problem with levels d_min..d_max, or None.  Levels from
+    FACTORIZE_BOUND up are refused before any work: factorize is exact and
+    bounded in time only below it."""
+    if not 1 <= d_min <= d_max:
+        return f"invalid range [{d_min}, {d_max}]"
+    if d_max >= FACTORIZE_BOUND:
+        return f"d must be below 2**64, got {d_max}"
+    return None
 
 
 def _check_positive(d: int) -> None:
@@ -128,6 +135,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_partners(args) -> int:
     _check_positive(args.d)
+    if (problem := _range_problem(args.d, args.d)) is not None:
+        raise _Exit(2, problem)
     census = partner_census(args.d)
     payload = census_to_json(census)
     labels = payload["labels"]

@@ -1,7 +1,16 @@
 import contextlib
+import os
 import signal
 
 import pytest
+
+
+def pytest_configure(config):
+    """`pythonpath` in pyproject.toml puts ./src on this process's path;
+    tests that start `python -m k3fm` need it in PYTHONPATH as well."""
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture
