@@ -73,7 +73,7 @@ _TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 # One table row, partners call or verify level asks for the same d from
 # several layers; the cache makes that one factorization.
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=32, typed=True)
 def factorize(n: int) -> Factorization:
     """Exact factorization of 1 <= n < FACTORIZE_BOUND.  Trial division by
     the primes below _TRIAL_LIMIT; a cofactor that may still be composite
