@@ -159,6 +159,15 @@ def test_exact_divisors_against_brute_force():
         assert exact_divisor_values(d) == brute_exact_divisors(d)
 
 
+def test_float_argument_not_served_from_int_cache():
+    assert exact_divisor_values(6) == (1, 2, 3, 6)
+    assert factorize(6).factors == ((2, 1), (3, 1))
+    with pytest.raises(ValueError):
+        exact_divisor_values(6.0)
+    with pytest.raises(ValueError):
+        factorize(6.0)
+
+
 def test_exact_divisor_count_formula():
     for d in range(1, 10_001):
         assert len(exact_divisor_values(d)) == 2 ** factorize(d).omega

@@ -32,6 +32,9 @@ CASES = {
     'table-large-json': (
         'table --d-min 999990 --d-max 1000010 --format json', None, 0, '',
         'bc57c049f09365a274703b8d0186ade14c1cfe129038d4817a94f05ccf905114'),
+    'table-primorial-json': (
+        'table --d-min 9699680 --d-max 9699700 --format json', None, 0, '',
+        '0cd593938b21de3e33c811678f6a84c978ead51deb61b931308c7c04f631b9d5'),
     'partners-1-json': (
         'partners --d 1 --format json', None, 0, '',
         '490315c227eace9b0c36a2e9f950a0486bd959ff3d508ebb6b7d0c0e43f034ea'),
@@ -86,6 +89,9 @@ CASES = {
     'table-large-csv': (
         'table --d-min 999990 --d-max 1000010 --format csv', None, 0, '',
         'c6f111d069b02f8f322f72339c1a242e07a4a9da089c92cac2fb3ddb3c8261e2'),
+    'table-primorial-csv': (
+        'table --d-min 9699680 --d-max 9699700 --format csv', None, 0, '',
+        '6e6ae36ee18863f459bb25566328bbac5cc3318c7642eb689b2b80ddfc05b309'),
     'partners-1-csv': (
         'partners --d 1 --format csv', None, 0, '',
         'aa9e2ca85aa6a2bd18d5cb95126923415e2c8a35cfc3eb34ab9b079e97eaeca7'),

@@ -39,6 +39,20 @@ def test_census_examples():
     assert partner_census(30).fm_number == 4 == 2 ** (3 - 1)
 
 
+def folded_partner_reps(d):
+    """Reference fold: min(r, d/r) over the exact divisors, as a set, sorted."""
+    return tuple(sorted({min(r, d // r) for r in exact_divisor_values(d)}))
+
+
+def fricke_classes(d):
+    """Reference coset count: the number of distinct pairs {s, d/s}."""
+    return len({frozenset((s, d // s)) for s in exact_divisor_values(d)})
+
+
+PRIMORIALS = [math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23)[:k]) for k in range(1, 10)]
+PRIME_POWERS = [2**40, 3**25, 7**11, 1021**4, 65537**3, 4294967291**2]
+
+
 def test_census_brute_force_and_formula():
     for d in range(1, 300):
         census = partner_census(d)
@@ -46,6 +60,12 @@ def test_census_brute_force_and_formula():
         omega = factorize(d).omega
         assert census.fm_number == (1 if d == 1 else 2 ** (omega - 1))
         assert census.fm_number == fricke_coset_count(d)
+    for d in [*range(1, 5001), *PRIMORIALS, *PRIME_POWERS, 2**64 - 1]:
+        census = partner_census(d)
+        reps = folded_partner_reps(d)
+        assert census.labels == tuple(PartnerLabel(d, r) for r in reps)
+        assert census.fm_number == len(reps)
+        assert fricke_coset_count(d) == fricke_classes(d) == len(reps)
 
 
 def test_partner_label_canonical():
