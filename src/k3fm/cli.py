@@ -46,7 +46,8 @@ _FORMATS = ("json", "csv", "text")
 
 class _Exit(Exception):
     """Ends a subcommand: `main` prints `error: <message>` to stderr and
-    returns `code` (2 usage, 3 classification, 4 parse)."""
+    returns `code` (1 failed cross-check, 2 usage, 3 classification,
+    4 parse)."""
 
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
@@ -115,7 +116,7 @@ def _table_row(d: int) -> list[str]:
     census = partner_census(d)
     index = fricke_coset_count(d)
     if census.fm_number != index:
-        raise AssertionError(f"partner count and coset index disagree at d={d}")
+        raise _Exit(1, f"partner count and coset index disagree at d={d}")
     return [str(d), str(factorize(d).omega), str(len(exact_divisor_values(d))),
             str(census.fm_number), str(index)]
 

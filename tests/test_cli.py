@@ -6,7 +6,7 @@ from k3fm.cli import VerifyConfig, main, run_verify
 from k3fm.corr import represent
 from k3fm.fmcalc import partner_census
 from k3fm.lattice import isometry_to_json
-from k3fm.modgroup import al_to_json, base_element
+from k3fm.modgroup import al_to_json, base_element, fricke_coset_count
 
 
 def run_cli(capsys, *args):
@@ -46,6 +46,14 @@ def test_table_invalid_range(capsys):
     code, _, err = run_cli(capsys, "table", "--d-min", "5", "--d-max", "2")
     assert code == 2
     assert "invalid range" in err
+
+
+def test_table_cross_check_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("k3fm.cli.fricke_coset_count",
+                        lambda d: fricke_coset_count(d) + (d == 5))
+    code, out, err = run_cli(capsys, "table", "--d-min", "1", "--d-max", "8")
+    assert (code, out) == (1, "")
+    assert err == "error: partner count and coset index disagree at d=5\n"
 
 
 def test_partners_trivial(capsys):
