@@ -165,6 +165,9 @@ def is_exact_divisor(s: int, d: int) -> bool:
     return d >= 1 and 1 <= s <= d and d % s == 0 and math.gcd(s, d // s) == 1
 
 
+# A table row or verify level asks for the divisors of one d from several
+# layers; typed=True keeps 6.0 from being served the entry for 6.
+@functools.lru_cache(maxsize=32, typed=True)
 def exact_divisor_values(d: int) -> tuple[int, ...]:
     """All s with s || d, ascending; there are 2**omega(d) of them."""
     if not isinstance(d, int) or d < 1:

@@ -254,8 +254,10 @@ def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
             charge_max = max(charge_max, charge_product_defect(t, z))
     for s in divisors:
         w = random_al(d, s, rng)
+        g = represent(w)
         for _ in range(n_points):
-            equiv_max = max(equiv_max, equivariance_defect(w, _sample_point(rng)))
+            equiv_max = max(equiv_max,
+                            equivariance_defect(w, _sample_point(rng), isometry=g))
     analytic_ok = max(action_max, charge_max, equiv_max) < config.tolerance
     failures = (len(report.failures) + sum(not t["ok"] for t in transforms)
                 + (not census_ok) + (not analytic_ok))

@@ -114,10 +114,11 @@ class PartnerCensus:
 
 
 def partner_census(d: int) -> PartnerCensus:
-    """Enumerate exact divisors, fold r with d/r, keep the small one of each
-    pair."""
-    labels = sorted({partner_label(d, r) for r in exact_divisor_values(d)},
-                    key=lambda lab: lab.r)
+    """One label per class {r, d/r}: exactly one of r and d/r is at most
+    sqrt(d) (they are equal only at d = 1), so keeping the exact divisors
+    with r*r <= d folds the pairs, and the ascending divisor list keeps the
+    labels in order."""
+    labels = [PartnerLabel(d, r) for r in exact_divisor_values(d) if r * r <= d]
     return PartnerCensus(d, tuple(labels), len(labels))
 
 
