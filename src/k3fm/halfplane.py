@@ -127,7 +127,8 @@ def equivariance_defect(
     Both images of the complex line are rescaled by their best-conditioned
     coordinate (largest magnitude, never a near-zero first component)
     before comparing; near zero certifies the two pictures agree through
-    the tube domain.  Passing a matrix overrides the lift so a harness can
+    the tube domain.  Passing a matrix replaces the lift: a caller that
+    already holds represent(w) saves lifting it again, and a harness can
     check that corruption is visible.
     """
     g = represent(w) if isometry is None else isometry
