@@ -166,6 +166,12 @@ def test_float_argument_not_served_from_int_cache():
         exact_divisor_values(6.0)
     with pytest.raises(ValueError):
         factorize(6.0)
+    # The caches key a bool (which passes the int check) like a float, and
+    # True == 1.0: only a typed cache keeps 1.0 from being served its entry.
+    for f in (exact_divisor_values, factorize):
+        f(True)
+        with pytest.raises(ValueError):
+            f(1.0)
 
 
 def test_exact_divisor_count_formula():

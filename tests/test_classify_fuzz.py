@@ -55,35 +55,32 @@ def wrong_shape(rng):
     return ["--d", str(d)] if isinstance(shape, list) else [], json.dumps(shape), 4
 
 
-def float_or_bool(rng):
-    bad = rng.choice([1.0, 0.5, -0.0, 1e3, 2.5e-7, True, False])
+def _with_one_entry(rng, value):
+    """A lift with one entry set to value (it needs --d), or an element
+    object with one of its fields set to value."""
     if rng.random() < 0.5:
         d, m = _lift(rng)
-        m[rng.randrange(3)][rng.randrange(3)] = bad
-        return ["--d", str(d)], json.dumps(m), 4
+        m[rng.randrange(3)][rng.randrange(3)] = value
+        return ["--d", str(d)], m
     w = al_to_json(_element(rng))
     slot = rng.randrange(6)
     if slot < 4:
-        w["abce"][slot] = bad
+        w["abce"][slot] = value
     else:
-        w[("d", "s")[slot - 4]] = bad
-    return [], json.dumps(w), 4
+        w[("d", "s")[slot - 4]] = value
+    return [], w
+
+
+def float_or_bool(rng):
+    bad = rng.choice([1.0, 0.5, -0.0, 1e3, 2.5e-7, True, False])
+    extra, obj = _with_one_entry(rng, bad)
+    return extra, json.dumps(obj), 4
 
 
 def huge_integer(rng):
     """An entry longer than Python's 4300-digit conversion limit, as a bare
     JSON integer or as a decimal string."""
-    if rng.random() < 0.5:
-        d, m = _lift(rng)
-        extra, obj = ["--d", str(d)], m
-        m[rng.randrange(3)][rng.randrange(3)] = "BIG"
-    else:
-        extra, obj = [], al_to_json(_element(rng))
-        slot = rng.randrange(6)
-        if slot < 4:
-            obj["abce"][slot] = "BIG"
-        else:
-            obj[("d", "s")[slot - 4]] = "BIG"
+    extra, obj = _with_one_entry(rng, "BIG")
     digits = "9" * rng.randint(4301, 6000)
     big = f'"{digits}"' if rng.random() < 0.5 else digits
     return extra, json.dumps(obj).replace('"BIG"', big), 4
