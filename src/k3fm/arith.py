@@ -166,7 +166,8 @@ def is_exact_divisor(s: int, d: int) -> bool:
 
 
 # A table row or verify level asks for the divisors of one d from several
-# layers; typed=True keeps 6.0 from being served the entry for 6.
+# layers; typed=True keeps a float equal to a cached argument (1.0 after
+# True) from being served that entry instead of being refused.
 @functools.lru_cache(maxsize=32, typed=True)
 def exact_divisor_values(d: int) -> tuple[int, ...]:
     """All s with s || d, ascending; there are 2**omega(d) of them."""
