@@ -174,6 +174,15 @@ def test_float_argument_not_served_from_int_cache():
             f(1.0)
 
 
+def test_bool_never_stored_as_the_entry_of_1():
+    # True == 1 and hash(True) == hash(1): a cache keyed on the value alone
+    # would hand factorize(1) a Factorization whose n is True.
+    for first, second in ((True, 1), (1, True)):
+        factorize(first)
+        factorize(second)
+        assert type(factorize(1).n) is int
+
+
 def test_exact_divisor_count_formula():
     for d in range(1, 10_001):
         assert len(exact_divisor_values(d)) == 2 ** factorize(d).omega

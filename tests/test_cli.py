@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from k3fm.arith import factorize
 from k3fm.cli import VerifyConfig, main, run_verify
 from k3fm.corr import represent
 from k3fm.fmcalc import partner_census
@@ -21,6 +22,12 @@ def test_table_single_row(capsys):
     lines = out.splitlines()
     assert lines[0] == "d,omega,exact_divisors,fm_number,fricke_index"
     assert lines[1] == "1,0,1,1,1"
+
+
+def test_table_first_row_after_factorize_true(capsys):
+    factorize(True)
+    code, out, _ = run_cli(capsys, "table", "--d-min", "1", "--d-max", "1")
+    assert (code, out.splitlines()[1]) == (0, "1,0,1,1,1")
 
 
 def test_table_known_rows(capsys):
@@ -108,6 +115,14 @@ def test_levels_from_two_to_the_64_exit_2(capsys, time_budget):
         code, out, _ = run_cli(capsys, "partners", "--d", below)
     assert code == 0
     assert json.loads(out)["fm_number"] == "64"
+
+
+def test_table_top_levels_below_two_to_the_64_within_budget(capsys, time_budget):
+    with time_budget(5.0):
+        code, out, _ = run_cli(capsys, "table", "--d-min", str(2**64 - 200),
+                               "--d-max", str(2**64 - 1))
+    assert code == 0
+    assert out.splitlines()[-1] == "18446744073709551615,7,128,64,64"
 
 
 def test_classify_accepts_any_level(tmp_path, capsys):

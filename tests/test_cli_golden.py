@@ -92,6 +92,12 @@ CASES = {
     'table-primorial-csv': (
         'table --d-min 9699680 --d-max 9699700 --format csv', None, 0, '',
         '6e6ae36ee18863f459bb25566328bbac5cc3318c7642eb689b2b80ddfc05b309'),
+    'table-window-2-22-csv': (
+        'table --d-min 4194204 --d-max 4194404 --format csv', None, 0, '',
+        '9d592c3728c591ed32eda5cbe02ff30ffc4b4bbcd78cd39deaab21aff2634722'),
+    'table-below-2-64-csv': (
+        'table --d-min 18446744073709551596 --d-max 18446744073709551615 --format csv', None, 0, '',
+        '1a94850699de00617cf1674a720445357495838ee0df91e90b241abaaa359138'),
     'partners-1-csv': (
         'partners --d 1 --format csv', None, 0, '',
         'aa9e2ca85aa6a2bd18d5cb95126923415e2c8a35cfc3eb34ab9b079e97eaeca7'),

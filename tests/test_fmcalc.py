@@ -74,6 +74,8 @@ def test_partner_label_canonical():
     with pytest.raises(InvalidLevel):
         partner_label(12, 2)
     with pytest.raises(InvalidLevel):
+        PartnerLabel(12, 2)  # 2 divides 12 but not exactly
+    with pytest.raises(InvalidLevel):
         PartnerLabel(6, 3)  # not the small representative
 
 
