@@ -7,12 +7,14 @@ import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
     "FACTORIZE_BOUND",
     "Factorization",
     "factorize",
+    "factorize_window",
     "is_exact_divisor",
     "exact_divisor_values",
     "star",
@@ -71,9 +73,14 @@ def _primes_below(n: int) -> tuple[int, ...]:
 _TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 
-# One table row, partners call or verify level asks for the same d from
-# several layers; the cache makes that one factorization.
-@functools.lru_cache(maxsize=32, typed=True)
+# One partners call or verify level asks for the same d from several
+# layers, and factorize_window hands each table row its factorization
+# ahead of the row: the memo makes each of those one factorization.  It
+# keeps the last _MEMO_SIZE results, keyed by plain ints only.
+_MEMO_SIZE = 32
+_memo: dict[int, Factorization] = {}
+
+
 def factorize(n: int) -> Factorization:
     """Exact factorization of 1 <= n < FACTORIZE_BOUND.  Trial division by
     the primes below _TRIAL_LIMIT; a cofactor that may still be composite
@@ -83,6 +90,11 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires a positive integer")
     if n >= FACTORIZE_BOUND:
         raise ValueError(f"factorize requires n < 2**64, got {n}")
+    # True == 1 with the same hash: a bool is looked up and answered as
+    # the plain int, so it never stands in the memo for 1.
+    n = int(n)
+    if (hit := _memo.get(n)) is not None:
+        return hit
     m = n
     out: list[tuple[int, int]] = []
     for p in _TRIAL_PRIMES:
@@ -94,12 +106,46 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 k += 1
             out.append((p, k))
-    else:  # m has no prime factor below _TRIAL_LIMIT, but may be composite
+    return _finish(n, out, m)
+
+
+def factorize_window(d_min: int, d_max: int) -> Iterator[Factorization]:
+    """factorize(d) for d = d_min, ..., d_max in order, from one
+    trial-division pass over the window: each prime below _TRIAL_LIMIT up
+    to sqrt(d_max) strides over its multiples there.  The pass runs on the
+    call; each factorization is finished, and put in factorize's memo, as
+    the iterator reaches it."""
+    if not 1 <= d_min <= d_max < FACTORIZE_BOUND:
+        raise ValueError(f"factorize_window requires 1 <= d_min <= d_max < 2**64, "
+                         f"got [{d_min}, {d_max}]")
+    rest = list(range(d_min, d_max + 1))
+    found: list[list[tuple[int, int]]] = [[] for _ in rest]
+    for p in _TRIAL_PRIMES:
+        if p * p > d_max:
+            break
+        for i in range(-d_min % p, len(rest), p):
+            m, k = rest[i] // p, 1
+            while m % p == 0:
+                m //= p
+                k += 1
+            rest[i] = m
+            found[i].append((p, k))
+    return map(_finish, range(d_min, d_max + 1), found, rest)
+
+
+def _finish(n: int, out: list[tuple[int, int]], m: int) -> Factorization:
+    """The memoized factorization of n from its trial-division part `out`
+    and cofactor m.  m has no prime factor below _TRIAL_LIMIT, or none up
+    to sqrt(m); either way it is 1 or prime below _TRIAL_LIMIT**2 (the
+    first prime past _TRIAL_LIMIT is 2053)."""
+    if m >= _TRIAL_LIMIT**2:
         out += sorted(Counter(_prime_factors(m)).items())
-        m = 1
-    if m > 1:
+    elif m > 1:
         out.append((m, 1))
-    return Factorization(n, tuple(out))
+    f = _memo[n] = Factorization(n, tuple(out))
+    if len(_memo) > _MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    return f
 
 
 def _prime_factors(m: int) -> list[int]:

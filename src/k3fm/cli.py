@@ -20,10 +20,21 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .arith import FACTORIZE_BOUND, exact_divisor_values, factorize
+from .arith import (
+    FACTORIZE_BOUND,
+    Factorization,
+    exact_divisor_values,
+    factorize,
+    factorize_window,
+)
 from .corr import classify_coset, report_to_json, represent, verify_correspondence
 from .errors import K3FMError, NotAnIsometry
-from .fmcalc import census_to_json, induced_transform, partner_census
+from .fmcalc import (
+    census_to_json,
+    induced_transform,
+    partner_census,
+    partner_representatives,
+)
 from .halfplane import (
     HalfPlanePoint,
     charge_product_defect,
@@ -112,19 +123,20 @@ def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
 _TABLE_KEYS = ["d", "omega", "exact_divisors", "fm_number", "fricke_index"]
 
 
-def _table_row(d: int) -> list[str]:
-    census = partner_census(d)
+def _table_row(f: Factorization) -> list[str]:
+    d = f.n
+    fm_number = len(partner_representatives(d))
     index = fricke_coset_count(d)
-    if census.fm_number != index:
+    if fm_number != index:
         raise _Exit(1, f"partner count and coset index disagree at d={d}")
-    return [str(d), str(factorize(d).omega), str(len(exact_divisor_values(d))),
-            str(census.fm_number), str(index)]
+    return [str(d), str(f.omega), str(len(exact_divisor_values(d))),
+            str(fm_number), str(index)]
 
 
 def _cmd_table(args) -> int:
     if (problem := _range_problem(args.d_min, args.d_max)) is not None:
         raise _Exit(2, problem)
-    rows = [_table_row(d) for d in range(args.d_min, args.d_max + 1)]
+    rows = [_table_row(f) for f in factorize_window(args.d_min, args.d_max)]
     _emit(args.format, {"rows": [dict(zip(_TABLE_KEYS, row)) for row in rows]},
           _TABLE_KEYS, rows,
           ("  ".join(f"{x:>14}" for x in row) for row in [_TABLE_KEYS, *rows]))

@@ -31,6 +31,7 @@ __all__ = [
     "PartnerCensus",
     "partner_label",
     "partner_census",
+    "partner_representatives",
     "isotropic_vector",
     "source_twist",
     "induced_transform",
@@ -113,12 +114,17 @@ class PartnerCensus:
             raise ValueError("fm_number must equal the number of labels")
 
 
+def partner_representatives(d: int) -> list[int]:
+    """The representative r <= d/r of each partner class {r, d/r},
+    ascending: exactly one of r and d/r is at most sqrt(d) (they are equal
+    only at d = 1), so keeping the exact divisors with r*r <= d folds the
+    pairs, and the ascending divisor list keeps them in order."""
+    return [r for r in exact_divisor_values(d) if r * r <= d]
+
+
 def partner_census(d: int) -> PartnerCensus:
-    """One label per class {r, d/r}: exactly one of r and d/r is at most
-    sqrt(d) (they are equal only at d = 1), so keeping the exact divisors
-    with r*r <= d folds the pairs, and the ascending divisor list keeps the
-    labels in order."""
-    labels = [PartnerLabel(d, r) for r in exact_divisor_values(d) if r * r <= d]
+    """One label per class {r, d/r}, in ascending order of r."""
+    labels = [PartnerLabel(d, r) for r in partner_representatives(d)]
     return PartnerCensus(d, tuple(labels), len(labels))
 
 

@@ -7,6 +7,7 @@ from k3fm.arith import (
     Factorization,
     exact_divisor_values,
     factorize,
+    factorize_window,
     is_exact_divisor,
     mod_inverse,
     star,
@@ -137,6 +138,34 @@ def test_factorize_refuses_two_to_the_64():
     for n in (2**64, 3**41, 10**30):
         with pytest.raises(ValueError):
             factorize(n)
+
+
+# Windows at the hand-overs of the strided pass: trial division alone up
+# to 2**22, Miller-Rabin and rho past it, 2053**2 the first square of a
+# prime past the trial primes, and the top of the supported range.
+WINDOWS = [(2**22 - 300, 2**22 + 300), (10**12, 10**12 + 300),
+           (2053**2 - 50, 2053**2 + 50), (2**64 - 301, 2**64 - 1)]
+
+
+def test_factorize_window_matches_factorize():
+    # Consecutive windows of random width cover 1..200 000.  Each window's
+    # per-d factorizations are taken first: the memo keeps only the last
+    # few the window hands in, and the next window starts past them.
+    rng = random.Random(6)
+    windows, lo = [], 1
+    while lo <= 200_000:
+        hi = min(lo + rng.choice((0, 1, 2, rng.randrange(5000))), 200_000)
+        windows.append((lo, hi))
+        lo = hi + 1
+    for lo, hi in windows + WINDOWS:
+        expected = [factorize(d) for d in range(lo, hi + 1)]
+        assert list(factorize_window(lo, hi)) == expected, (lo, hi)
+
+
+def test_factorize_window_rejects_bad_ranges():
+    for lo, hi in ((0, 5), (5, 4), (2**64 - 1, 2**64)):
+        with pytest.raises(ValueError):
+            factorize_window(lo, hi)
 
 
 def test_factorization_invariants_enforced():
