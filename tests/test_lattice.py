@@ -19,10 +19,10 @@ from k3fm.lattice import (
     isometry_neg,
     isometry_product,
     isometry_to_json,
-    mat_vec,
     mukai_pairing,
 )
 from k3fm.modgroup import base_element, random_al, random_gamma0
+from oracles import gram, mat_mul, mat_vec, pair
 
 
 def char_poly_coeffs(m):
@@ -215,26 +215,16 @@ def test_exactness_guard():
 
 def _is_isometry_reference(g):
     """transpose(m) * Gram * m == Gram by plain 3x3 products."""
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-
-    mt = tuple(tuple(g.m[j][i] for j in range(3)) for i in range(3))
-    gram = gram_matrix(g.d)
-    return mul(mt, mul(gram, g.m)) == gram
+    mt = tuple(zip(*g.m))
+    return mat_mul(mt, mat_mul(gram(g.d), g.m)) == gram(g.d)
 
 
 def _orientation_reference(g):
     """Sign of det <g*p_i, p_j> on the positive plane p1 = (1, 0, -d), p2 = ell."""
     p1, p2 = (1, 0, -g.d), (0, 1, 0)
     q1, q2 = mat_vec(g.m, p1), mat_vec(g.m, p2)
-    pair = LatticeVector(g.d, q1), LatticeVector(g.d, q2)
-    plane = LatticeVector(g.d, p1), LatticeVector(g.d, p2)
-    det = (mukai_pairing(pair[0], plane[0]) * mukai_pairing(pair[1], plane[1])
-           - mukai_pairing(pair[0], plane[1]) * mukai_pairing(pair[1], plane[0]))
+    det = (pair(g.d, q1, p1) * pair(g.d, q2, p2)
+           - pair(g.d, q1, p2) * pair(g.d, q2, p1))
     return det > 0
 
 
