@@ -121,6 +121,9 @@ def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
 # ---------------------------------------------------------------- table
 
 _TABLE_KEYS = ["d", "omega", "exact_divisors", "fm_number", "fricke_index"]
+# factorize_window holds the whole window in memory; a million levels peak
+# near 2 GB of RSS with --format json.
+_TABLE_MAX_LEVELS = 10**6
 
 
 def _table_row(f: Factorization) -> list[str]:
@@ -136,6 +139,9 @@ def _table_row(f: Factorization) -> list[str]:
 def _cmd_table(args) -> int:
     if (problem := _range_problem(args.d_min, args.d_max)) is not None:
         raise _Exit(2, problem)
+    if (levels := args.d_max - args.d_min + 1) > _TABLE_MAX_LEVELS:
+        raise _Exit(2, f"table windows hold at most {_TABLE_MAX_LEVELS} levels, "
+                       f"got {levels}")
     rows = [_table_row(f) for f in factorize_window(args.d_min, args.d_max)]
     _emit(args.format, {"rows": [dict(zip(_TABLE_KEYS, row)) for row in rows]},
           _TABLE_KEYS, rows,

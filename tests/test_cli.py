@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -61,6 +62,37 @@ def test_table_cross_check_failure_exits_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "table", "--d-min", "1", "--d-max", "8")
     assert (code, out) == (1, "")
     assert err == "error: partner count and coset index disagree at d=5\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_table_huge_window_exits_2_without_traceback():
+    # under a 1 GiB address space an up-front allocation of the window
+    # ends in MemoryError; the refusal must come before any work
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "table", "--d-min", "1",
+         "--d-max", str(10**12)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: table windows hold at most 1000000 levels, got {10**12}\n")
+
+
+def test_table_window_limit_is_checked_before_any_work(capsys, monkeypatch):
+    windows = []
+    monkeypatch.setattr("k3fm.cli.factorize_window",
+                        lambda d_min, d_max: windows.append((d_min, d_max)) or iter(()))
+    for d_min, d_max in ((1, 10**6), (7, 10**6 + 6)):
+        code, _, err = run_cli(capsys, "table", "--d-min", str(d_min),
+                               "--d-max", str(d_max))
+        assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "table", "--d-min", "7", "--d-max", str(10**6 + 7))
+    assert (code, out) == (2, "")
+    assert err == "error: table windows hold at most 1000000 levels, got 1000001\n"
+    assert windows == [(1, 10**6), (7, 10**6 + 6)]
 
 
 def test_partners_trivial(capsys):
