@@ -14,7 +14,6 @@ from .arith import (
 )
 from .corr import (
     CorrespondenceReport,
-    classify_coset,
     descend,
     represent,
     verify_correspondence,
@@ -43,10 +42,8 @@ from .fmcalc import (
     compose,
     induced_transform,
     invert,
-    isotropic_vector,
     partner_census,
     partner_label,
-    same_partner,
     source_twist,
 )
 from .halfplane import (
@@ -62,17 +59,12 @@ from .halfplane import (
 from .lattice import (
     DiscriminantUnit,
     IsometryN,
-    LatticeVector,
     discriminant_unit,
-    gram_matrix,
     is_isometry,
     is_orientation_preserving,
-    isometry_product,
-    mukai_pairing,
 )
 from .modgroup import (
     ALElement,
-    CosetLabel,
     al_identity,
     al_inverse,
     al_mul,

@@ -27,7 +27,7 @@ from .arith import (
     factorize,
     factorize_window,
 )
-from .corr import classify_coset, report_to_json, represent, verify_correspondence
+from .corr import descend, report_to_json, represent, verify_correspondence
 from .errors import K3FMError, NotAnIsometry
 from .fmcalc import (
     census_to_json,
@@ -48,7 +48,7 @@ from .lattice import (
     is_orientation_preserving,
     isometry_from_json,
 )
-from .modgroup import al_from_json, al_to_json, fricke_coset_count, random_al
+from .modgroup import al_from_json, al_to_json, fricke_coset_count, is_fricke, random_al
 
 __all__ = ["VerifyConfig", "main", "run_verify"]
 
@@ -121,8 +121,7 @@ def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
 # ---------------------------------------------------------------- table
 
 _TABLE_KEYS = ["d", "omega", "exact_divisors", "fm_number", "fricke_index"]
-# factorize_window holds the whole window in memory; a million levels peak
-# near 2 GB of RSS with --format json.
+# factorize_window and the rendered rows hold a whole window in memory.
 _TABLE_MAX_LEVELS = 10**6
 
 
@@ -208,10 +207,10 @@ def _cmd_classify(args) -> int:
             raise ValueError("expected an element object or a 3x3 array")
         if not is_isometry(g):
             raise NotAnIsometry("matrix does not preserve the Gram form")
-        s = classify_coset(g).s
+        w = descend(g)
         record = {
-            "s": str(s),
-            "fricke": s in (1, g.d),
+            "s": str(w.s),
+            "fricke": is_fricke(w),
             "discriminant_unit": str(discriminant_unit(g).u),
             "orientation": is_orientation_preserving(g),
         }
@@ -249,7 +248,7 @@ def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
     transforms = []
     for r, t in zip(divisors, built):
         twist_ok = (r + d * t.n_src) % (r * r) == 0
-        level = classify_coset(represent(t.image)).s
+        level = descend(represent(t.image)).s
         transforms.append(
             {
                 "r": str(r),

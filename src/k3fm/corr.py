@@ -27,13 +27,12 @@ from .lattice import (
     mat_det,
     mat_neg,
 )
-from .modgroup import ALElement, CosetLabel, al_to_json, is_fricke, random_al
+from .modgroup import ALElement, al_to_json, is_fricke, random_al
 
 __all__ = [
     "CorrespondenceReport",
     "represent",
     "descend",
-    "classify_coset",
     "check_sample",
     "verify_correspondence",
     "report_to_json",
@@ -112,10 +111,6 @@ def descend(g: IsometryN) -> ALElement:
     return w
 
 
-def classify_coset(g: IsometryN) -> CosetLabel:
-    return CosetLabel(g.d, descend(g).s)
-
-
 def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
     """Failed check names for one sampled coset element; empty means clean.
 
@@ -162,7 +157,7 @@ class CorrespondenceReport:
 
 
 def verify_correspondence(
-    d: int, samples_per_coset: int, rng: random.Random, bound: int = 10
+    d: int, samples_per_coset: int, rng: random.Random
 ) -> CorrespondenceReport:
     """Run check_sample on random elements of every coset of AL_d.
 
@@ -172,7 +167,7 @@ def verify_correspondence(
     failures: list[tuple[dict, str]] = []
     for s in exact_divisor_values(d):
         for _ in range(samples_per_coset):
-            w = random_al(d, s, rng, bound)
+            w = random_al(d, s, rng)
             for name in check_sample(w):
                 failures.append((al_to_json(w), name))
     return CorrespondenceReport(d, samples_per_coset, tuple(failures))

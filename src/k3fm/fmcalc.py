@@ -22,7 +22,7 @@ from .errors import (
     InvalidLevel,
     LevelMismatch,
 )
-from .modgroup import ALElement, al_inverse, al_mul, is_fricke
+from .modgroup import ALElement, al_inverse, al_mul
 
 __all__ = [
     "MukaiVector",
@@ -32,10 +32,8 @@ __all__ = [
     "partner_label",
     "partner_census",
     "partner_representatives",
-    "isotropic_vector",
     "source_twist",
     "induced_transform",
-    "same_partner",
     "compose",
     "invert",
     "census_to_json",
@@ -107,11 +105,10 @@ class PartnerCensus:
 
     d: int
     labels: tuple[PartnerLabel, ...]
-    fm_number: int
 
-    def __post_init__(self) -> None:
-        if self.fm_number != len(self.labels):
-            raise ValueError("fm_number must equal the number of labels")
+    @property
+    def fm_number(self) -> int:
+        return len(self.labels)
 
 
 def partner_representatives(d: int) -> list[int]:
@@ -125,14 +122,7 @@ def partner_representatives(d: int) -> list[int]:
 def partner_census(d: int) -> PartnerCensus:
     """One label per class {r, d/r}, in ascending order of r."""
     labels = [PartnerLabel(d, r) for r in partner_representatives(d)]
-    return PartnerCensus(d, tuple(labels), len(labels))
-
-
-def isotropic_vector(d: int, r: int) -> MukaiVector:
-    """(r, 1, d/r); its self-pairing 2d - 2*r*(d/r) vanishes."""
-    if not is_exact_divisor(r, d):
-        raise InvalidLevel(f"r={r} is not an exact divisor of d={d}")
-    return MukaiVector(d, r, 1, d // r)
+    return PartnerCensus(d, tuple(labels))
 
 
 def source_twist(d: int, r: int) -> int:
@@ -205,12 +195,6 @@ def induced_transform(d: int, r: int) -> InducedTransform:
         raise InternalClosureViolation("source twist failed to clear r^2")
     image = ALElement(d, s, 1, -k, 1, -n)
     return InducedTransform(partner_label(d, r), partner_label(d, 1), image, r, n, 1)
-
-
-def same_partner(t: InducedTransform) -> bool:
-    """True iff the transform connects a partner with itself; by the coset
-    bookkeeping this is exactly a Fricke image."""
-    return is_fricke(t.image)
 
 
 def compose(t1: InducedTransform, t2: InducedTransform) -> InducedTransform:

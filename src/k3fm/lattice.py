@@ -18,26 +18,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .errors import ActionNotDiagonal, LevelMismatch, NotAnIsometry, NotIntegral
+from .errors import ActionNotDiagonal, NotAnIsometry, NotIntegral
 
 __all__ = [
     "Exact",
     "Matrix",
-    "LatticeVector",
     "IsometryN",
     "DiscriminantUnit",
-    "gram_matrix",
-    "identity_matrix",
-    "mat_mul",
-    "mat_vec",
     "mat_neg",
     "mat_det",
-    "mukai_pairing",
     "is_isometry",
     "is_orientation_preserving",
     "discriminant_unit",
-    "isometry_product",
-    "isometry_neg",
     "isometry_to_json",
     "isometry_from_json",
 ]
@@ -52,28 +44,7 @@ def _as_exact(x) -> Exact:
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    if isinstance(x, str):
-        return _as_exact(Fraction(x))
     raise TypeError(f"expected an exact number, got {type(x).__name__}")
-
-
-def gram_matrix(d: int) -> Matrix:
-    return ((0, 0, -1), (0, 2 * d, 0), (-1, 0, 0))
-
-
-def identity_matrix() -> Matrix:
-    return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def mat_vec(a: Matrix, v) -> tuple:
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
 def mat_neg(a: Matrix) -> Matrix:
@@ -88,30 +59,9 @@ def mat_det(a: Matrix) -> Exact:
     )
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Exact-rational coordinates (x0, x_ell, x4) in the basis (e0, ell, e4)."""
-
-    d: int
-    coords: tuple[Exact, Exact, Exact]
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if len(self.coords) != 3:
-            raise ValueError("coords must have length 3")
-        object.__setattr__(self, "coords", tuple(_as_exact(x) for x in self.coords))
-
-
 def _pair(d: int, u, v) -> Exact:
+    """<u, v> = 2d*u_ell*v_ell - u0*v4 - u4*v0 on coordinate triples."""
     return 2 * d * u[1] * v[1] - u[0] * v[2] - u[2] * v[0]
-
-
-def mukai_pairing(u: LatticeVector, v: LatticeVector) -> Exact:
-    """<u, v> = 2d*u_ell*v_ell - u0*v4 - u4*v0, symmetric bilinear."""
-    if u.d != v.d:
-        raise LevelMismatch(f"cannot pair vectors at d={u.d} and d={v.d}")
-    return _pair(u.d, u.coords, v.coords)
 
 
 @dataclass(frozen=True)
@@ -206,16 +156,6 @@ def discriminant_unit(g: IsometryN) -> DiscriminantUnit:
             f"multiplier {u} does not preserve the discriminant form mod {2 * twod}"
         )
     return DiscriminantUnit(g.d, u)
-
-
-def isometry_product(g: IsometryN, h: IsometryN) -> IsometryN:
-    if g.d != h.d:
-        raise LevelMismatch(f"cannot compose matrices at d={g.d} and d={h.d}")
-    return IsometryN(g.d, mat_mul(g.m, h.m))
-
-
-def isometry_neg(g: IsometryN) -> IsometryN:
-    return IsometryN(g.d, mat_neg(g.m))
 
 
 def isometry_to_json(g: IsometryN) -> list:

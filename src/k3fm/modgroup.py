@@ -33,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "ALElement",
-    "CosetLabel",
     "al_identity",
     "translation",
     "al_mul",
@@ -79,22 +78,6 @@ class ALElement:
         if (a or c or b or e) < 0:  # the first nonzero of (a, c, b, e)
             for name, x in (("a", a), ("b", b), ("c", c), ("e", e)):
                 object.__setattr__(self, name, -x)
-
-
-@dataclass(frozen=True)
-class CosetLabel:
-    """Label of the coset W_s inside AL_d; Fricke iff s is 1 or d."""
-
-    d: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if not is_exact_divisor(self.s, self.d):
-            raise InvalidLevel(f"s={self.s} is not an exact divisor of d={self.d}")
-
-    @property
-    def is_fricke(self) -> bool:
-        return self.s in (1, self.d)
 
 
 def al_identity(d: int) -> ALElement:

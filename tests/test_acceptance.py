@@ -9,13 +9,12 @@ import time
 
 from k3fm.arith import exact_divisor_values, factorize, star
 from k3fm.cli import main
-from k3fm.corr import represent, verify_correspondence
+from k3fm.corr import descend, represent, verify_correspondence
 from k3fm.fmcalc import (
     compose,
     induced_transform,
     invert,
     partner_census,
-    same_partner,
     source_twist,
 )
 from k3fm.halfplane import (
@@ -101,8 +100,6 @@ def test_criterion_3_correspondence_forward_backward():
 def test_criterion_4_transform_construction():
     started = time.monotonic()
     failures = []
-    from k3fm.corr import classify_coset
-
     for d in range(1, 201):
         for r in exact_divisor_values(d):
             n = source_twist(d, r)
@@ -113,7 +110,7 @@ def test_criterion_4_transform_construction():
             w = t.image
             if w.a * w.e * w.s - w.b * w.c * (d // w.s) != 1:
                 failures.append((d, r, "determinant identity"))
-            if classify_coset(represent(w)).s != d // r:
+            if descend(represent(w)).s != d // r:
                 failures.append((d, r, "coset level"))
 
     rng = random.Random(20260803)
@@ -124,8 +121,7 @@ def test_criterion_4_transform_construction():
             t1 = rng.choice(pool)
             t2 = rng.choice([t for t in pool if t.target == t1.source])
             c = compose(t1, t2)
-            agree = same_partner(c) == (c.source == c.target) == is_fricke(c.image)
-            if not agree:
+            if (c.source == c.target) != is_fricke(c.image):
                 failures.append((d, "fricke/partner disagreement"))
             if max(abs(x) for x in (c.image.a, c.image.b, c.image.c, c.image.e)) < 10**6:
                 pool.append(c)

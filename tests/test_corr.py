@@ -9,23 +9,13 @@ import pytest
 from k3fm.arith import exact_divisor_values
 from k3fm.corr import (
     check_sample,
-    classify_coset,
     descend,
     report_to_json,
     represent,
     verify_correspondence,
 )
 from k3fm.errors import NotInImage
-from k3fm.lattice import (
-    IsometryN,
-    identity_matrix,
-    is_isometry,
-    is_orientation_preserving,
-    isometry_neg,
-    mat_det,
-    mat_neg,
-    isometry_product,
-)
+from k3fm.lattice import IsometryN, is_isometry, is_orientation_preserving, mat_det
 from k3fm.modgroup import (
     ALElement,
     al_identity,
@@ -36,13 +26,14 @@ from k3fm.modgroup import (
     random_al,
     translation,
 )
+from oracles import IDENTITY, mat_mul, neg
 
 D_SET = (1, 2, 6, 12, 30)
 
 
 def test_represent_identity_and_translation():
     for d in (1, 6):
-        assert represent(al_identity(d)).m == identity_matrix()
+        assert represent(al_identity(d)).m == IDENTITY
     assert represent(translation(1, 1)).m == ((1, 0, 0), (1, 1, 0), (1, 2, 1))
 
 
@@ -68,16 +59,15 @@ def test_homomorphism_exact():
         for _ in range(50):
             w1 = random_al(d, rng.choice(values), rng)
             w2 = random_al(d, rng.choice(values), rng)
-            assert represent(al_mul(w1, w2)) == isometry_product(
-                represent(w1), represent(w2)
+            assert represent(al_mul(w1, w2)).m == mat_mul(
+                represent(w1).m, represent(w2).m
             )
 
 
 def test_descend_identity_and_sign():
     for d in (1, 6, 30):
-        one = IsometryN(d, identity_matrix())
-        assert descend(one) == al_identity(d)
-        assert descend(isometry_neg(one)) == al_identity(d)
+        assert descend(IsometryN(d, IDENTITY)) == al_identity(d)
+        assert descend(IsometryN(d, neg(IDENTITY))) == al_identity(d)
 
 
 def test_descend_round_trip():
@@ -100,13 +90,13 @@ def test_descend_rejects_non_image():
 
 
 def test_classify_coset():
-    assert classify_coset(IsometryN(6, identity_matrix())).s == 1
+    assert descend(IsometryN(6, IDENTITY)).s == 1
     for d in (2, 6, 30):
-        assert classify_coset(represent(base_element(d, d))).s == d
+        assert descend(represent(base_element(d, d))).s == d
     rng = random.Random(24)
     w = al_mul(random_al(6, 2, rng), random_al(6, 3, rng))
-    label = classify_coset(represent(w))
-    assert label.s == 6 and label.is_fricke
+    label = descend(represent(w))
+    assert label.s == 6 and is_fricke(label)
 
 
 def test_fricke_criterion_random():
@@ -162,7 +152,7 @@ def _descend_reference(g):
     det = mat_det(g.m)
     if det not in (1, -1):
         raise NotInImage(f"determinant {det} is not +-1")
-    h = g.m if det == 1 else mat_neg(g.m)
+    h = g.m if det == 1 else neg(g.m)
     for s in exact_divisor_values(g.d):
         t = g.d // s
         roots = []
@@ -193,11 +183,11 @@ def _outcome(fn, g):
 
 def _oracle_inputs(d, s, rng):
     g = represent(random_al(d, s, rng))
-    flip = IsometryN(d, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    flip = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
     yield g
-    yield isometry_neg(g)
-    yield isometry_product(flip, g)
-    yield isometry_product(g, flip)
+    yield IsometryN(d, neg(g.m))
+    yield IsometryN(d, mat_mul(flip, g.m))
+    yield IsometryN(d, mat_mul(g.m, flip))
     for i in range(3):
         for j in range(3):
             for step in (1, -1):

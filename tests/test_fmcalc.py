@@ -4,7 +4,7 @@ import random
 import pytest
 
 from k3fm.arith import exact_divisor_values, factorize
-from k3fm.corr import classify_coset, represent
+from k3fm.corr import descend, represent
 from k3fm.errors import EndpointMismatch, InvalidLevel
 from k3fm.fmcalc import (
     InducedTransform,
@@ -14,10 +14,8 @@ from k3fm.fmcalc import (
     census_to_json,
     induced_transform,
     invert,
-    isotropic_vector,
     partner_census,
     partner_label,
-    same_partner,
     source_twist,
 )
 from k3fm.modgroup import al_identity, fricke_coset_count, is_fricke, translation
@@ -87,16 +85,6 @@ def test_partner_label_rendering():
             assert lab.is_fine  # gcd(r, 2d, d/r) = 1 follows from exactness
 
 
-def test_isotropic_vector():
-    assert isotropic_vector(6, 1) == MukaiVector(6, 1, 1, 6)
-    v = isotropic_vector(6, 2)
-    assert (v.r, v.n, v.s) == (2, 1, 3)
-    assert v.self_pairing == 0 and v.is_isotropic
-    assert isotropic_vector(5, 5) == MukaiVector(5, 5, 1, 1)
-    with pytest.raises(InvalidLevel):
-        isotropic_vector(12, 6)
-
-
 def test_mukai_vector_pairing_matches_lattice():
     rng = random.Random(31)
     for _ in range(50):
@@ -129,7 +117,7 @@ def test_induced_transform_examples():
     t = induced_transform(6, 2)
     assert (t.image.a, t.image.b, t.image.c, t.image.e) == (1, -2, 1, -1)
     assert t.image.s == 3
-    assert classify_coset(represent(t.image)).s == 3
+    assert descend(represent(t.image)).s == 3
     t = induced_transform(2, 1)
     assert (t.image.s, t.image.a, t.image.b, t.image.c, t.image.e) == (2, 1, -1, 1, 0)
 
@@ -145,11 +133,11 @@ def test_induced_transform_endpoints_and_rank():
 
 
 def test_same_partner():
-    assert same_partner(induced_transform(6, 1))
-    assert not same_partner(induced_transform(6, 2))
+    assert is_fricke(induced_transform(6, 1).image)
+    assert not is_fricke(induced_transform(6, 2).image)
     t = induced_transform(6, 2)
     round_trip = compose(t, invert(t))
-    assert same_partner(round_trip)
+    assert is_fricke(round_trip.image)
     assert round_trip.source == round_trip.target
 
 
@@ -163,7 +151,7 @@ def test_same_partner_agrees_with_endpoints():
             options = [t for t in pool if t.target == t1.source]
             t2 = rng.choice(options)
             c = compose(t1, t2)
-            assert same_partner(c) == (c.source == c.target) == is_fricke(c.image)
+            assert (c.source == c.target) == is_fricke(c.image)
             pool.append(c)
 
 
@@ -201,7 +189,7 @@ def test_translation_transform():
     t = InducedTransform(lab, lab, translation(6, 3), 0, 0, 0)
     assert t.rank == 0 and t.source == t.target
     assert (t.image.a, t.image.b, t.image.c, t.image.e) == (1, 3, 0, 1)
-    assert same_partner(t)
+    assert is_fricke(t.image)
 
 
 def test_transform_validation():

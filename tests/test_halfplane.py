@@ -5,7 +5,7 @@ import pytest
 
 from k3fm.arith import exact_divisor_values
 from k3fm.errors import LevelMismatch, NotInUpperHalfPlane, ZeroRank
-from k3fm.fmcalc import MukaiVector, induced_transform, isotropic_vector
+from k3fm.fmcalc import MukaiVector, induced_transform
 from k3fm.halfplane import (
     HalfPlanePoint,
     central_charge,
@@ -148,7 +148,7 @@ def test_central_charge_closed_form_isotropic():
     rng = random.Random(46)
     for d in (2, 6, 30):
         for r in exact_divisor_values(d):
-            v = isotropic_vector(d, r)
+            v = MukaiVector(d, r, 1, d // r)
             for _ in range(20):
                 z = random_point(rng)
                 direct = central_charge(z.u, z.v, v)

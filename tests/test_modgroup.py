@@ -6,7 +6,6 @@ from k3fm.arith import exact_divisor_values, factorize, star
 from k3fm.errors import InternalClosureViolation, InvalidDeterminant, InvalidLevel, LevelMismatch
 from k3fm.modgroup import (
     ALElement,
-    CosetLabel,
     al_from_json,
     al_identity,
     al_inverse,
@@ -137,8 +136,6 @@ def test_is_fricke():
     assert is_fricke(al_identity(6))
     assert is_fricke(base_element(2, 2))
     assert not is_fricke(base_element(6, 2))
-    assert CosetLabel(6, 6).is_fricke
-    assert not CosetLabel(6, 3).is_fricke
 
 
 def test_base_element():
