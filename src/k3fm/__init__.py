@@ -37,7 +37,6 @@ from .errors import (
 from .fmcalc import (
     InducedTransform,
     MukaiVector,
-    PartnerCensus,
     PartnerLabel,
     compose,
     induced_transform,

@@ -27,14 +27,9 @@ from .arith import (
     factorize,
     factorize_window,
 )
-from .corr import descend, report_to_json, represent, verify_correspondence
+from .corr import descend, represent, verify_correspondence
 from .errors import K3FMError, NotAnIsometry
-from .fmcalc import (
-    census_to_json,
-    induced_transform,
-    partner_census,
-    partner_representatives,
-)
+from .fmcalc import induced_transform, partner_census, partner_representatives
 from .halfplane import (
     HalfPlanePoint,
     charge_product_defect,
@@ -155,17 +150,17 @@ def _cmd_partners(args) -> int:
     _check_positive(args.d)
     if (problem := _range_problem(args.d, args.d)) is not None:
         raise _Exit(2, problem)
-    census = partner_census(args.d)
-    payload = census_to_json(census)
-    labels = payload["labels"]
-    for lab, entry in zip(census.labels, labels):
+    labels = []
+    for lab in partner_census(args.d):
         image = induced_transform(args.d, lab.r).image
-        entry.update(image=al_to_json(image), coset_level=str(image.s))
-    _emit(args.format, payload,
+        labels.append({"r": str(lab.r), "moduli": lab.moduli, "fine": lab.is_fine,
+                       "image": al_to_json(image), "coset_level": str(image.s)})
+    fm_number = str(len(labels))
+    _emit(args.format, {"d": str(args.d), "fm_number": fm_number, "labels": labels},
           ["d", "r", "moduli", "fine", "coset_level", "a", "b", "c", "e"],
-          ([payload["d"], e["r"], e["moduli"], _flag(e["fine"]), e["coset_level"],
+          ([str(args.d), e["r"], e["moduli"], _flag(e["fine"]), e["coset_level"],
             *e["image"]["abce"]] for e in labels),
-          [f"d={args.d}  fm_number={payload['fm_number']}"] + [
+          [f"d={args.d}  fm_number={fm_number}"] + [
               f"  {e['moduli']}  r={e['r']}  image level {e['coset_level']}"
               f"  (a,b,c,e)=({','.join(e['image']['abce'])})"
               f"  {'fine' if e['fine'] else 'not fine'}"
@@ -190,7 +185,7 @@ def _cmd_classify(args) -> int:
         obj = json.loads(_read_input(args.path))
     except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(4, f"cannot read input: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
         raise _Exit(4, f"input is not JSON: {exc}") from None
 
     try:
@@ -235,13 +230,13 @@ def _sample_point(rng: random.Random) -> HalfPlanePoint:
 
 
 def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
-    report = verify_correspondence(d, config.samples_per_coset, rng)
+    sampled = verify_correspondence(d, config.samples_per_coset, rng).failures
 
-    census = partner_census(d)
+    fm_number = len(partner_representatives(d))
     omega = factorize(d).omega
     formula = 1 if d == 1 else 2 ** (omega - 1)
     coset_count = fricke_coset_count(d)
-    census_ok = census.fm_number == coset_count == formula
+    census_ok = fm_number == coset_count == formula
 
     divisors = exact_divisor_values(d)
     built = [induced_transform(d, r) for r in divisors]
@@ -276,14 +271,19 @@ def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
             equiv_max = max(equiv_max,
                             equivariance_defect(w, _sample_point(rng), isometry=g))
     analytic_ok = max(action_max, charge_max, equiv_max) < config.tolerance
-    failures = (len(report.failures) + sum(not t["ok"] for t in transforms)
+    failures = (len(sampled) + sum(not t["ok"] for t in transforms)
                 + (not census_ok) + (not analytic_ok))
 
     return {
         "d": str(d),
-        "correspondence": report_to_json(report),
+        "correspondence": {
+            "d": str(d),
+            "samples_per_coset": str(config.samples_per_coset),
+            "failures": [{"element": element, "check": name}
+                         for element, name in sampled],
+        },
         "census": {
-            "fm_number": str(census.fm_number),
+            "fm_number": str(fm_number),
             "coset_count": str(coset_count),
             "formula": str(formula),
             "ok": census_ok,

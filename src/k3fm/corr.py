@@ -35,7 +35,6 @@ __all__ = [
     "descend",
     "check_sample",
     "verify_correspondence",
-    "report_to_json",
 ]
 
 def represent(w: ALElement) -> IsometryN:
@@ -171,13 +170,3 @@ def verify_correspondence(
             for name in check_sample(w):
                 failures.append((al_to_json(w), name))
     return CorrespondenceReport(d, samples_per_coset, tuple(failures))
-
-
-def report_to_json(report: CorrespondenceReport) -> dict:
-    return {
-        "d": str(report.d),
-        "samples_per_coset": str(report.samples_per_coset),
-        "failures": [
-            {"element": element, "check": name} for element, name in report.failures
-        ],
-    }

@@ -28,7 +28,6 @@ __all__ = [
     "MukaiVector",
     "PartnerLabel",
     "InducedTransform",
-    "PartnerCensus",
     "partner_label",
     "partner_census",
     "partner_representatives",
@@ -36,7 +35,6 @@ __all__ = [
     "induced_transform",
     "compose",
     "invert",
-    "census_to_json",
 ]
 
 
@@ -78,10 +76,6 @@ class PartnerLabel:
             raise InvalidLevel(f"label wants the representative with r <= d/r")
 
     @property
-    def complement(self) -> int:
-        return self.d // self.r
-
-    @property
     def moduli(self) -> str:
         return f"M_L({self.r}+L+{self.d // self.r})"
 
@@ -99,18 +93,6 @@ def partner_label(d: int, r: int) -> PartnerLabel:
     return PartnerLabel(d, min(r, d // r))
 
 
-@dataclass(frozen=True)
-class PartnerCensus:
-    """All derived-partner labels of the degree-2d surface."""
-
-    d: int
-    labels: tuple[PartnerLabel, ...]
-
-    @property
-    def fm_number(self) -> int:
-        return len(self.labels)
-
-
 def partner_representatives(d: int) -> list[int]:
     """The representative r <= d/r of each partner class {r, d/r},
     ascending: exactly one of r and d/r is at most sqrt(d) (they are equal
@@ -119,10 +101,10 @@ def partner_representatives(d: int) -> list[int]:
     return [r for r in exact_divisor_values(d) if r * r <= d]
 
 
-def partner_census(d: int) -> PartnerCensus:
-    """One label per class {r, d/r}, in ascending order of r."""
-    labels = [PartnerLabel(d, r) for r in partner_representatives(d)]
-    return PartnerCensus(d, tuple(labels))
+def partner_census(d: int) -> tuple[PartnerLabel, ...]:
+    """One label per class {r, d/r}, in ascending order of r; the number of
+    labels is the Fourier-Mukai number of the degree-2d surface."""
+    return tuple(PartnerLabel(d, r) for r in partner_representatives(d))
 
 
 def source_twist(d: int, r: int) -> int:
@@ -215,14 +197,3 @@ def invert(t: InducedTransform) -> InducedTransform:
     image = al_inverse(t.image)
     rank, n_src, n_tgt = _params_from_image(image)
     return InducedTransform(t.target, t.source, image, rank, n_src, n_tgt)
-
-
-def census_to_json(census: PartnerCensus) -> dict:
-    return {
-        "d": str(census.d),
-        "fm_number": str(census.fm_number),
-        "labels": [
-            {"r": str(lab.r), "moduli": lab.moduli, "fine": lab.is_fine}
-            for lab in census.labels
-        ],
-    }

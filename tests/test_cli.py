@@ -111,10 +111,10 @@ def test_partners_level_six(capsys):
     assert levels == ["6", "3"]
     # output round-trips through the census schema
     census = partner_census(int(payload["d"]))
-    assert [lab.moduli for lab in census.labels] == [
+    assert [lab.moduli for lab in census] == [
         lab["moduli"] for lab in payload["labels"]
     ]
-    assert str(census.fm_number) == payload["fm_number"]
+    assert str(len(census)) == payload["fm_number"]
 
 
 def test_partners_rejects_bad_d(capsys):
@@ -239,6 +239,25 @@ def test_classify_unreadable_input_exits_4(tmp_path, capsys):
     assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
 
 
+def test_classify_json_nested_past_the_recursion_limit_exits_4(tmp_path, capsys):
+    """Nesting deeper than the parser can recurse is a parse error, not a
+    traceback: on stdin and in a file, inside an element's field."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "classify", "--d", "6"],
+        input=("[" * 100_000).encode(), capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(b"error: input is not JSON: ")
+    path = tmp_path / "deep.json"
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text(f'{{"d": {deep}, "s": "2", "abce": ["2", "1", "1", "1"]}}')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: input is not JSON: ")
+
+
 def test_classify_requires_level_for_matrices(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
@@ -278,6 +297,31 @@ def test_verify_absurd_tolerance_fails(capsys):
     )
     assert code == 1
     assert json.loads(out)["total_failures"] > 0
+
+
+def test_verify_reports_each_correspondence_failure(capsys, monkeypatch):
+    seen = []
+
+    def fail_round_trip(w, g=None):
+        seen.append(al_to_json(w))
+        return ("round_trip",)
+
+    monkeypatch.setattr("k3fm.corr.check_sample", fail_round_trip)
+    report, code = run_verify(VerifyConfig(d_min=1, d_max=2, samples_per_coset=3))
+    assert code == 1
+    sampled = [level["correspondence"]["failures"] for level in report["levels"]]
+    assert [len(failures) for failures in sampled] == [3, 6]  # 3 per coset
+    assert json.loads(json.dumps(sampled)) == [
+        [{"element": element, "check": "round_trip"} for element in seen[:3]],
+        [{"element": element, "check": "round_trip"} for element in seen[3:]],
+    ]
+    assert [level["failures"] for level in report["levels"]] == [3, 6]
+    assert report["total_failures"] == 9
+    code, out, _ = run_cli(capsys, "verify", "--d-min", "1", "--d-max", "2",
+                           "--samples", "3", "--format", "csv")
+    assert code == 1
+    assert [row for row in out.splitlines() if ",correspondence," in row] == [
+        "1,correspondence,false,failures=3", "2,correspondence,false,failures=6"]
 
 
 def test_verify_usage_error(capsys):

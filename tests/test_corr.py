@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,6 @@ from k3fm.arith import exact_divisor_values
 from k3fm.corr import (
     check_sample,
     descend,
-    report_to_json,
     represent,
     verify_correspondence,
 )
@@ -132,14 +130,6 @@ def test_verify_correspondence_deterministic():
     a = verify_correspondence(12, 10, random.Random(5))
     b = verify_correspondence(12, 10, random.Random(5))
     assert a == b
-
-
-def test_report_serializes():
-    report = verify_correspondence(2, 5, random.Random(28))
-    payload = report_to_json(report)
-    text = json.dumps(payload)
-    assert json.loads(text)["d"] == "2"
-    assert json.loads(text)["failures"] == []
 
 
 # --- reference oracle: the exhaustive descend --------------------------------
