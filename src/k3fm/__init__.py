@@ -13,7 +13,6 @@ from .arith import (
     star,
 )
 from .corr import (
-    CorrespondenceReport,
     descend,
     represent,
     verify_correspondence,

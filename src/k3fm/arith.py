@@ -53,6 +53,18 @@ class Factorization:
 # 3.18e23) and Pollard rho needs about n**(1/4) steps.
 FACTORIZE_BOUND = 2**64
 
+
+def _range_problem(d_min: int, d_max: int) -> str | None:
+    """The usage problem with levels d_min..d_max, or None.  Levels from
+    FACTORIZE_BOUND up are refused before any work: factorize is exact and
+    bounded in time only below it."""
+    if not 1 <= d_min <= d_max:
+        return f"invalid range [{d_min}, {d_max}]"
+    if d_max >= FACTORIZE_BOUND:
+        return f"d must be below 2**64, got {d_max}"
+    return None
+
+
 # Trial division stops at this bound; cofactors it leaves are split by
 # Miller-Rabin and Pollard-Brent rho.
 _TRIAL_LIMIT = 2**11

@@ -1,5 +1,5 @@
 """Command-line front end: census tables, partner listings, coset
-classification, and the self-verification pipeline.
+classification, and the `k3fm.verify` self-verification pipeline.
 
 Exact integers and rationals ride through JSON as decimal strings; floats
 appear only in defect and tolerance fields.  CSV output is RFC-4180 framed
@@ -15,37 +15,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import random
 import sys
-from dataclasses import dataclass
 
-from .arith import (
-    FACTORIZE_BOUND,
-    Factorization,
-    exact_divisor_values,
-    factorize,
-    factorize_window,
-)
-from .corr import descend, represent, verify_correspondence
+from .arith import Factorization, _range_problem, exact_divisor_values, factorize_window
+from .corr import descend, represent
 from .errors import K3FMError, NotAnIsometry
 from .fmcalc import induced_transform, partner_census, partner_representatives
-from .halfplane import (
-    HalfPlanePoint,
-    charge_product_defect,
-    equivariance_defect,
-    induced_action,
-    mobius,
-)
 from .lattice import (
     discriminant_unit,
     is_isometry,
     is_orientation_preserving,
     isometry_from_json,
 )
-from .modgroup import al_from_json, al_to_json, fricke_coset_count, is_fricke, random_al
+from .modgroup import al_from_json, al_to_json, fricke_coset_count, is_fricke
+from .verify import CSV_HEADER, VerifyConfig, _flag, render, run_verify
 
-__all__ = ["VerifyConfig", "main", "run_verify"]
+__all__ = ["main"]
 
 _FORMATS = ("json", "csv", "text")
 
@@ -60,43 +45,9 @@ class _Exit(Exception):
         self.code = code
 
 
-def _range_problem(d_min: int, d_max: int) -> str | None:
-    """The usage problem with levels d_min..d_max, or None.  Levels from
-    FACTORIZE_BOUND up are refused before any work: factorize is exact and
-    bounded in time only below it."""
-    if not 1 <= d_min <= d_max:
-        return f"invalid range [{d_min}, {d_max}]"
-    if d_max >= FACTORIZE_BOUND:
-        return f"d must be below 2**64, got {d_max}"
-    return None
-
-
 def _check_positive(d: int) -> None:
     if d < 1:
         raise _Exit(2, f"d must be positive, got {d}")
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    d_min: int = 1
-    d_max: int = 50
-    samples_per_coset: int = 50
-    seed: int = 1
-    tolerance: float = 1e-9
-
-    def validate(self) -> str | None:
-        """The first usage problem with this config, or None."""
-        if (problem := _range_problem(self.d_min, self.d_max)) is not None:
-            return problem
-        if self.samples_per_coset < 1:
-            return "samples per coset must be at least 1"
-        if not 0 < self.tolerance < math.inf:  # false for nan as well
-            return f"tolerance must be finite and positive, got {self.tolerance!r}"
-        return None
-
-
-def _flag(x: bool) -> str:
-    return "true" if x else "false"
 
 
 def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
@@ -225,124 +176,13 @@ def _cmd_classify(args) -> int:
 # --------------------------------------------------------------- verify
 
 
-def _sample_point(rng: random.Random) -> HalfPlanePoint:
-    return HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
-
-
-def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
-    sampled = verify_correspondence(d, config.samples_per_coset, rng).failures
-
-    fm_number = len(partner_representatives(d))
-    omega = factorize(d).omega
-    formula = 1 if d == 1 else 2 ** (omega - 1)
-    coset_count = fricke_coset_count(d)
-    census_ok = fm_number == coset_count == formula
-
-    divisors = exact_divisor_values(d)
-    built = [induced_transform(d, r) for r in divisors]
-    transforms = []
-    for r, t in zip(divisors, built):
-        twist_ok = (r + d * t.n_src) % (r * r) == 0
-        level = descend(represent(t.image)).s
-        transforms.append(
-            {
-                "r": str(r),
-                "twist": str(t.n_src),
-                "level": str(level),
-                "expected_level": str(d // r),
-                "ok": twist_ok and level == d // r,
-            }
-        )
-
-    n_points = min(10, config.samples_per_coset)
-    action_max = charge_max = equiv_max = 0.0
-    for t in built:
-        for _ in range(n_points):
-            z = _sample_point(rng)
-            za = induced_action(d, t.rank, t.n_src, t.n_tgt, z)
-            zm = mobius(t.image, z)
-            scale = max(1.0, abs(zm.z))
-            action_max = max(action_max, abs(za.z - zm.z) / scale)
-            charge_max = max(charge_max, charge_product_defect(t, z))
-    for s in divisors:
-        w = random_al(d, s, rng)
-        g = represent(w)
-        for _ in range(n_points):
-            equiv_max = max(equiv_max,
-                            equivariance_defect(w, _sample_point(rng), isometry=g))
-    analytic_ok = max(action_max, charge_max, equiv_max) < config.tolerance
-    failures = (len(sampled) + sum(not t["ok"] for t in transforms)
-                + (not census_ok) + (not analytic_ok))
-
-    return {
-        "d": str(d),
-        "correspondence": {
-            "d": str(d),
-            "samples_per_coset": str(config.samples_per_coset),
-            "failures": [{"element": element, "check": name}
-                         for element, name in sampled],
-        },
-        "census": {
-            "fm_number": str(fm_number),
-            "coset_count": str(coset_count),
-            "formula": str(formula),
-            "ok": census_ok,
-        },
-        "transforms": transforms,
-        "analytic": {
-            "max_action_defect": action_max,
-            "max_charge_defect": charge_max,
-            "max_equivariance_defect": equiv_max,
-            "ok": analytic_ok,
-        },
-        "failures": failures,
-    }
-
-
-def run_verify(config: VerifyConfig) -> tuple[dict, int]:
-    """Run the whole pipeline; deterministic for a fixed config."""
-    rng = random.Random(config.seed)
-    levels = [
-        _verify_level(d, config, rng) for d in range(config.d_min, config.d_max + 1)
-    ]
-    total = sum(level["failures"] for level in levels)
-    report = {
-        "config": {
-            "d_min": str(config.d_min),
-            "d_max": str(config.d_max),
-            "samples_per_coset": str(config.samples_per_coset),
-            "seed": str(config.seed),
-            "tolerance": config.tolerance,
-        },
-        "levels": levels,
-        "total_failures": total,
-    }
-    return report, 0 if total == 0 else 1
-
-
 def _cmd_verify(args) -> int:
-    config = VerifyConfig(args.d_min, args.d_max, args.samples, args.seed, args.tol)
-    if (problem := config.validate()) is not None:
-        raise _Exit(2, problem)
+    try:
+        config = VerifyConfig(args.d_min, args.d_max, args.samples, args.seed, args.tol)
+    except ValueError as exc:
+        raise _Exit(2, str(exc)) from None
     report, code = run_verify(config)
-    rows, text = [], []
-    for level in report["levels"]:
-        d, corr, analytic = level["d"], level["correspondence"], level["analytic"]
-        worst = max(analytic["max_action_defect"], analytic["max_charge_defect"],
-                    analytic["max_equivariance_defect"])
-        rows += [
-            [d, "correspondence", _flag(not corr["failures"]),
-             f"failures={len(corr['failures'])}"],
-            [d, "census", _flag(level["census"]["ok"]),
-             f"fm_number={level['census']['fm_number']}"],
-            [d, "transforms", _flag(all(t["ok"] for t in level["transforms"])),
-             f"count={len(level['transforms'])}"],
-            [d, "analytic", _flag(analytic["ok"]), f"max_defect={worst!r}"],
-        ]
-        status = "ok" if level["failures"] == 0 else f"{level['failures']} failures"
-        text.append(f"d={d}: {status} (worst analytic defect {worst!r})")
-    text.append(f"total failures: {report['total_failures']}")
-    _emit(args.format, report, ["d", "check", "ok", "detail"], rows, text)
+    _emit(args.format, report, CSV_HEADER, *render(report))
     return code
 
 
@@ -381,11 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=_cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run the verification pipeline")
-    p_verify.add_argument("--d-min", type=int, default=1)
-    p_verify.add_argument("--d-max", type=int, default=50)
-    p_verify.add_argument("--samples", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--d-min", type=int, default=VerifyConfig.d_min)
+    p_verify.add_argument("--d-max", type=int, default=VerifyConfig.d_max)
+    p_verify.add_argument("--samples", type=int, default=VerifyConfig.samples_per_coset)
+    p_verify.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p_verify.add_argument("--tol", type=float, default=VerifyConfig.tolerance)
     p_verify.add_argument("--format", choices=_FORMATS, default="json")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .arith import exact_divisor_values, is_exact_divisor
 from .errors import IntegralityViolation, K3FMError, NotInImage
@@ -30,7 +29,6 @@ from .lattice import (
 from .modgroup import ALElement, al_to_json, is_fricke, random_al
 
 __all__ = [
-    "CorrespondenceReport",
     "represent",
     "descend",
     "check_sample",
@@ -141,27 +139,14 @@ def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
     return tuple(failed)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Sampled certificate that the lift/descend pair behaves on every coset
-    of AL_d; an empty failure list means all checks passed."""
-
-    d: int
-    samples_per_coset: int
-    failures: tuple[tuple[dict, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def verify_correspondence(
     d: int, samples_per_coset: int, rng: random.Random
-) -> CorrespondenceReport:
-    """Run check_sample on random elements of every coset of AL_d.
+) -> tuple[tuple[dict, str], ...]:
+    """Run check_sample on random elements of every coset of AL_d; an
+    empty tuple means every check passed.
 
-    Failures are data, not exceptions: each one records the offending
-    element (wire form) and the name of the check it failed.
+    Failures are data, not exceptions: each one is the offending element
+    (wire form) and the name of the check it failed.
     """
     failures: list[tuple[dict, str]] = []
     for s in exact_divisor_values(d):
@@ -169,4 +154,4 @@ def verify_correspondence(
             w = random_al(d, s, rng)
             for name in check_sample(w):
                 failures.append((al_to_json(w), name))
-    return CorrespondenceReport(d, samples_per_coset, tuple(failures))
+    return tuple(failures)

@@ -3,9 +3,12 @@ import resource
 import subprocess
 import sys
 
+import pytest
+
+from k3fm import cli
 from k3fm.arith import factorize
 from k3fm.cli import VerifyConfig, main, run_verify
-from k3fm.corr import represent
+from k3fm.corr import represent, verify_correspondence
 from k3fm.fmcalc import partner_census
 from k3fm.lattice import isometry_to_json
 from k3fm.modgroup import al_to_json, base_element, fricke_coset_count
@@ -351,8 +354,69 @@ def test_run_verify_api():
     report, code = run_verify(VerifyConfig(d_min=1, d_max=4, samples_per_coset=5, seed=11))
     assert code == 0
     assert report["total_failures"] == 0
-    assert VerifyConfig(d_min=2, d_max=1).validate() is not None
-    assert VerifyConfig(tolerance=float("nan")).validate() is not None
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples_per_coset": 0}, {"d_min": 3, "d_max": 1}, {"d_min": 0},
+    {"tolerance": float("nan")}, {"tolerance": 0.0}, {"tolerance": float("inf")},
+])
+def test_verify_config_refuses_configs_that_check_nothing(kwargs):
+    with pytest.raises(ValueError):
+        VerifyConfig(**kwargs)
+
+
+# (d_min, d_max, samples), each over the bound on samples x sum of
+# 2**omega(d): 10**9 levels; 100000 samples at d = 1; 4 x 2**15 at the 15th
+# primorial, the one level of omega 15 below 2**64.
+OVERSIZED = [(1, 10**9, 1), (1, 1, 100000), (614889782588491410, 614889782588491410, 4)]
+
+
+@pytest.mark.parametrize("d_min, d_max, samples", OVERSIZED)
+def test_verify_refuses_oversized_runs_before_any_work(d_min, d_max, samples, capsys,
+                                                       time_budget):
+    with time_budget(2):
+        code, out, err = run_cli(capsys, "verify", "--d-min", str(d_min),
+                                 "--d-max", str(d_max), "--samples", str(samples))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: verify samples at most ") and err.count("\n") == 1
+    with time_budget(2), pytest.raises(ValueError):
+        VerifyConfig(d_min, d_max, samples)
+
+
+def test_verify_defaults_come_from_verify_config():
+    args = cli._build_parser().parse_args(["verify"])
+    config = VerifyConfig()
+    assert (args.d_min, args.d_max, args.samples, args.seed, args.tol) == (
+        config.d_min, config.d_max, config.samples_per_coset, config.seed,
+        config.tolerance)
+
+
+def test_verify_keeps_the_benchmark_tracer_contract(capsys, monkeypatch):
+    """Wrap `run_verify` and `verify_correspondence` wherever a `k3fm`
+    module holds them, as the benchmark tracer does: each level's
+    correspondence stage must run inside the one `run_verify` call."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls.append("end " + fn.__name__)
+        return wrapper
+
+    for original in (run_verify, verify_correspondence):
+        wrapper = counting(original)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "k3fm" or name.startswith("k3fm.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    assert run_cli(capsys, "verify", "--d-max", "3", "--samples", "1")[0] == 0
+    assert calls == ["run_verify",
+                     *["verify_correspondence", "end verify_correspondence"] * 3,
+                     "end run_verify"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -188,6 +188,9 @@ CASES = {
     'verify-samples-0': (
         'verify --samples 0', None, 2, 'error: samples per coset must be at least 1\n',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-too-many-samples': (
+        'verify --d-max 1 --samples 100000', None, 2, 'error: verify samples at most 65536 coset elements (samples x 2**omega(d) over the levels), got at least 100000\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-bad-format': (
         'verify --format yaml', None, 2, "usage: k3fm verify [-h] [--d-min D_MIN] [--d-max D_MAX] [--samples SAMPLES]\n                   [--seed SEED] [--tol TOL] [--format {json,csv,text}]\nk3fm verify: error: argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')\n",
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
