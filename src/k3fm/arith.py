@@ -3,12 +3,11 @@ product on them."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "FACTORIZE_BOUND",
@@ -24,23 +23,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Factorization:
-    """n written as a product of prime powers, primes strictly increasing."""
+    """n written as a product of prime powers, primes strictly increasing.
+    `divisors` holds its 2**omega exact divisors, ascending."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
+    divisors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
         prod = 1
         last = 1
+        divisors = [1]
         for p, k in self.factors:
             if p <= last or k < 1:
                 raise ValueError("factors must be sorted prime powers")
             last = p
-            prod *= p**k
+            q = p**k
+            prod *= q
+            divisors += [v * q for v in divisors]
         if prod != self.n:
             raise ValueError(f"factors do not multiply to {self.n}")
+        divisors.sort()
+        object.__setattr__(self, "divisors", tuple(divisors))
 
     @property
     def omega(self) -> int:
@@ -223,19 +229,11 @@ def is_exact_divisor(s: int, d: int) -> bool:
     return d >= 1 and 1 <= s <= d and d % s == 0 and math.gcd(s, d // s) == 1
 
 
-# A table row or verify level asks for the divisors of one d from several
-# layers; typed=True keeps a float equal to a cached argument (1.0 after
-# True) from being served that entry instead of being refused.
-@functools.lru_cache(maxsize=32, typed=True)
 def exact_divisor_values(d: int) -> tuple[int, ...]:
-    """All s with s || d, ascending; there are 2**omega(d) of them."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive integer")
-    vals = [1]
-    for p, k in factorize(d).factors:
-        q = p**k
-        vals += [v * q for v in vals]
-    return tuple(sorted(vals))
+    """All s with s || d, ascending; there are 2**omega(d) of them.  They
+    are factorize(d).divisors, so factorize's memo serves every layer and
+    factorize refuses what is not a positive integer below 2**64."""
+    return factorize(d).divisors
 
 
 def star(s: int, t: int) -> int:

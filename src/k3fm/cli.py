@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 
-from .arith import Factorization, _range_problem, exact_divisor_values, factorize_window
+from .arith import Factorization, _range_problem, factorize_window
 from .corr import descend, represent
 from .errors import K3FMError, NotAnIsometry
 from .fmcalc import induced_transform, partner_census, partner_representatives
@@ -77,7 +77,7 @@ def _table_row(f: Factorization) -> list[str]:
     index = fricke_coset_count(d)
     if fm_number != index:
         raise _Exit(1, f"partner count and coset index disagree at d={d}")
-    return [str(d), str(f.omega), str(len(exact_divisor_values(d))),
+    return [str(d), str(f.omega), str(len(f.divisors)),
             str(fm_number), str(index)]
 
 
@@ -88,8 +88,9 @@ def _cmd_table(args) -> int:
         raise _Exit(2, f"table windows hold at most {_TABLE_MAX_LEVELS} levels, "
                        f"got {levels}")
     rows = [_table_row(f) for f in factorize_window(args.d_min, args.d_max)]
-    _emit(args.format, {"rows": [dict(zip(_TABLE_KEYS, row)) for row in rows]},
-          _TABLE_KEYS, rows,
+    obj = ({"rows": [dict(zip(_TABLE_KEYS, row)) for row in rows]}
+           if args.format == "json" else None)
+    _emit(args.format, obj, _TABLE_KEYS, rows,
           ("  ".join(f"{x:>14}" for x in row) for row in [_TABLE_KEYS, *rows]))
     return 0
 

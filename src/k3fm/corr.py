@@ -17,11 +17,10 @@ import math
 import random
 
 from .arith import exact_divisor_values, is_exact_divisor
-from .errors import IntegralityViolation, K3FMError, NotInImage
+from .errors import IntegralityViolation, K3FMError, NotAnIsometry, NotInImage
 from .lattice import (
     IsometryN,
     discriminant_unit,
-    is_isometry,
     is_orientation_preserving,
     mat_det,
     mat_neg,
@@ -120,10 +119,11 @@ def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
     failed = []
     if not g.is_integral:
         failed.append("integral")
-    if not is_isometry(g):
+    try:
+        if not is_orientation_preserving(g):  # runs the Gram test first
+            failed.append("orientation")
+    except NotAnIsometry:
         failed.append("isometry")
-    elif not is_orientation_preserving(g):
-        failed.append("orientation")
     try:
         if descend(g) != w:
             failed.append("round_trip")

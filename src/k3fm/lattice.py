@@ -13,9 +13,9 @@ columns from the left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .errors import ActionNotDiagonal, NotAnIsometry, NotIntegral
@@ -67,23 +67,29 @@ def _pair(d: int, u, v) -> Exact:
 @dataclass(frozen=True)
 class IsometryN:
     """A 3x3 exact-rational matrix acting on the lattice; whether it really
-    preserves the Gram form is a question (is_isometry), not an assumption."""
+    preserves the Gram form is a question (is_isometry), not an assumption.
+    `is_integral` says whether every entry is an int (bool included)."""
 
     d: int
     m: Matrix
+    is_integral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if len(self.m) != 3 or any(len(row) != 3 for row in self.m):
             raise ValueError("m must be 3x3")
-        object.__setattr__(
-            self, "m", tuple(tuple(_as_exact(x) for x in row) for row in self.m)
-        )
-
-    @cached_property  # m is immutable; represent, descend and discriminant_unit all ask
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self.m for x in row)
+        rows, integral = [], True
+        for row in self.m:
+            exact = []
+            for x in row:
+                if not isinstance(x, int):
+                    x = _as_exact(x)
+                    integral = integral and isinstance(x, int)
+                exact.append(x)
+            rows.append(tuple(exact))
+        object.__setattr__(self, "m", tuple(rows))
+        object.__setattr__(self, "is_integral", integral)
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,18 @@ def isometry_to_json(g: IsometryN) -> list:
     return [[str(Fraction(x)) for x in row] for row in g.m]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_entry(x) -> Exact:
+    """A JSON integer (not a bool) or a rational string like "7" or "-1/6"."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return _as_exact(Fraction(x))
+    raise ValueError(f"Invalid literal for Fraction: {str(x)!r}")
+
+
 def isometry_from_json(obj, d: int) -> IsometryN:
     """Entries are JSON integers or rational strings; floats are refused."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
@@ -174,7 +192,7 @@ def isometry_from_json(obj, d: int) -> IsometryN:
         if any(isinstance(x, float) for x in row):
             raise ValueError("floats are refused; use integers or rational strings")
         try:
-            rows.append(tuple(_as_exact(Fraction(str(x))) for x in row))
+            rows.append(tuple(map(_json_entry, row)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational entry: {exc}") from exc
     return IsometryN(d, tuple(rows))

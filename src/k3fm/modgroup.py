@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .arith import exact_divisor_values, is_exact_divisor, mod_inverse, star
+from .arith import exact_divisor_values, is_exact_divisor, mod_inverse
 from .errors import (
     InternalClosureViolation,
     InvalidDeterminant,
@@ -65,7 +65,8 @@ class ALElement:
 
     def __post_init__(self) -> None:
         d, s, a, b, c, e = self.d, self.s, self.a, self.b, self.c, self.e
-        if not all(isinstance(x, int) for x in (d, s, a, b, c, e)):
+        if not (isinstance(d, int) and isinstance(s, int) and isinstance(a, int)
+                and isinstance(b, int) and isinstance(c, int) and isinstance(e, int)):
             raise TypeError("ALElement entries must be integers")
         if not is_exact_divisor(s, d):
             raise InvalidLevel(f"s={s} is not an exact divisor of d={d}")
@@ -106,7 +107,7 @@ def al_mul(w1: ALElement, w2: ALElement) -> ALElement:
     p21 = w1.c * d * w2.a * s2 + w1.e * s1 * w2.c * d
     p22 = w1.c * d * w2.b + w1.e * s1 * w2.e * s2
     g = math.gcd(s1, s2)
-    t = star(s1, s2)
+    t = s1 * s2 // (g * g)
     a, ra = divmod(p11, g * t)
     b, rb = divmod(p12, g)
     c, rc = divmod(p21, g * d)
@@ -161,9 +162,10 @@ def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     span = max(bound, 1)
+    # randrange(2*k + 1) - k makes the same draw as randint(-k, k).
     while True:
-        c = rng.randint(-bound, bound)
-        a = rng.randint(-span, span)
+        c = rng.randrange(2 * bound + 1) - bound
+        a = rng.randrange(2 * span + 1) - span
         if math.gcd(a, c * d) == 1:
             break
     if c == 0:
@@ -171,8 +173,8 @@ def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
     else:
         e = mod_inverse(a, abs(c * d))
         b = (a * e - 1) // (c * d)
-    j = rng.randint(-bound, bound)
-    k = rng.randint(-bound, bound)
+    j = rng.randrange(2 * bound + 1) - bound
+    k = rng.randrange(2 * bound + 1) - bound
     # translation(d, j) * [[a, b], [c*d, e]] * translation(d, k), multiplied out
     top = a + j * c * d
     return ALElement(d, 1, top, top * k + b + j * e, c, e + k * c * d)

@@ -188,6 +188,50 @@ def test_exact_divisors_against_brute_force():
         assert exact_divisor_values(d) == brute_exact_divisors(d)
 
 
+
+def exact_divisors_by_sieve(limit):
+    """Exact divisors of every d <= limit, walking the multiples of each s."""
+    out = [[] for _ in range(limit + 1)]
+    for s in range(1, limit + 1):
+        for d in range(s, limit + 1, s):
+            if math.gcd(s, d // s) == 1:
+                out[d].append(s)
+    return out
+
+
+def exact_divisors_from_all_divisors(f):
+    """Every divisor of f.n (each exponent 0..k), kept when gcd(s, n/s) = 1."""
+    divisors = [1]
+    for p, k in f.factors:
+        divisors = [v * p**j for v in divisors for j in range(k + 1)]
+    return tuple(sorted(s for s in divisors if math.gcd(s, f.n // s) == 1))
+
+
+def test_factorization_divisors_against_brute_force():
+    by_sieve = exact_divisors_by_sieve(5000)
+    for d in range(1, 5001):
+        assert Factorization(d, factorize(d).factors).divisors == tuple(by_sieve[d])
+    # 2**64 - 1 = 3*5*17*257*641*65537*6700417; the last is the product of
+    # the first 15 primes, the largest omega below 2**64.
+    for n in (2**64 - 1, 9699690, 614889782588491410, 2**63, 2**30 * 3**18):
+        f = factorize(n)
+        assert f.divisors == exact_divisors_from_all_divisors(f)
+        assert len(f.divisors) == 2**f.omega
+    assert factorize(614889782588491410).omega == 15
+
+
+def test_factorization_eq_hash_repr_ignore_divisors():
+    f = Factorization(12, ((2, 2), (3, 1)))
+    assert repr(f) == "Factorization(n=12, factors=((2, 2), (3, 1)))"
+    assert hash(f) == hash((12, ((2, 2), (3, 1))))
+    assert f == factorize(12) and f != Factorization(3, ((3, 1),))
+    assert f.divisors == (1, 3, 4, 12)
+
+
+def test_exact_divisor_values_reads_factorize_memo():
+    assert not hasattr(exact_divisor_values, "cache_info")
+    assert exact_divisor_values(30030) is factorize(30030).divisors
+
 def test_float_argument_not_served_from_int_cache():
     assert exact_divisor_values(6) == (1, 2, 3, 6)
     assert factorize(6).factors == ((2, 1), (3, 1))

@@ -230,6 +230,15 @@ CASES = {
     'classify-bool-entry': (
         'classify --d 6', '[[true, 0, 0], [0, 1, 0], [0, 0, 1]]', 4, "error: malformed input: malformed rational entry: Invalid literal for Fraction: 'True'\n",
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'classify-loose-exponent': (
+        'classify --d 1', '[["1e0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]', 4, "error: malformed input: malformed rational entry: Invalid literal for Fraction: '1e0'\n",
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'classify-loose-fullwidth-digit': (
+        'classify --d 1', '[["１", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]', 4, "error: malformed input: malformed rational entry: Invalid literal for Fraction: '１'\n",
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'classify-loose-underscore': (
+        'classify --d 1', '[["7_0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]', 4, "error: malformed input: malformed rational entry: Invalid literal for Fraction: '7_0'\n",
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'classify-wrong-shape': (
         'classify --d 6', '[["1", "0"], ["0", "1"]]', 4, 'error: malformed input: expected a 3x3 array\n',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

@@ -115,6 +115,22 @@ def test_check_sample_clean_and_corrupted():
     assert check_sample(w, corrupted) != ()
 
 
+def test_check_sample_names_each_failed_check():
+    """One Gram test serves both checks: a matrix that does not preserve the
+    Gram form fails `isometry` (and no orientation is read off it), and a
+    Gram-preserving lift composed with ell -> -ell fails `orientation`."""
+    flip = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
+    for d, s in ((1, 1), (6, 2), (30, 5), (2310, 7)):
+        w = base_element(d, s)
+        g = represent(w)
+        shear = IsometryN(d, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        assert check_sample(w, shear) == ("isometry", "round_trip", "fricke_criterion")
+        for m in (mat_mul(flip, g.m), mat_mul(g.m, flip)):
+            assert check_sample(w, IsometryN(d, m)) == ("orientation", "round_trip")
+        # e0 -> e0/2, e4 -> 2*e4 preserves the Gram form over Q only.
+        half = IsometryN(d, ((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 2)))
+        assert check_sample(w, half) == ("integral", "round_trip", "fricke_criterion")
+
 def test_verify_correspondence_trivial_level():
     assert verify_correspondence(1, 20, random.Random(26)) == ()
 

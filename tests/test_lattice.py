@@ -146,6 +146,53 @@ def test_isometry_json_round_trip():
         isometry_from_json([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], 5)
 
 
+def test_isometry_json_entry_spellings():
+    """Entries are JSON integers or strings matching -?[0-9]+(/[0-9]+)?;
+    spellings that Fraction() would also read are refused."""
+    def parse(x):
+        return isometry_from_json([[x, 0, 0], [0, 1, 0], [0, 0, 1]], 1).m[0][0]
+
+    for x, value in ((7, 7), (-3, -3), ("7", 7), ("-1/6", Fraction(-1, 6)),
+                     ("0", 0), ("-0", 0), ("007", 7), ("4/2", 2), (2**70, 2**70)):
+        got = parse(x)
+        assert got == value and type(got) is type(value)
+    for x in ("1e0", "+1", " 7 ", "7 ", "7_0", "1.5", "\uff11", "1/-2", "- 1",
+              "", "/2", "1/", "0x10", "7\n", "nan", "inf", True, False, None,
+              [1], {"n": 1}):
+        with pytest.raises(ValueError, match="malformed rational entry"):
+            parse(x)
+    with pytest.raises(ValueError, match="floats are refused"):
+        parse(1.0)
+    with pytest.raises(ValueError, match="malformed rational entry"):
+        parse("1/0")
+
+
+def test_is_integral_is_the_entry_types():
+    half, two = Fraction(1, 2), Fraction(4, 2)
+    cases = [
+        (IDENTITY, True),
+        (((two, 0, 0), (0, 1, 0), (0, 0, Fraction(-3, 1))), True),
+        (((half, 0, 0), (0, 1, 0), (0, 0, 2)), False),
+        (((1, 0, 0), (0, 1, Fraction(-3, 5)), (0, 0, 1)), False),
+        (((True, False, 0), (0, True, 0), (0, 0, True)), True),
+        (((True, 0, 0), (0, half, 0), (0, 0, 1)), False),
+    ]
+    for m, integral in cases:
+        g = IsometryN(3, m)
+        assert g.is_integral is integral
+        assert g.is_integral == all(isinstance(x, int) for row in g.m for x in row)
+        assert IsometryN(3, [list(row) for row in m]).is_integral is integral
+
+
+def test_isometry_eq_hash_repr_ignore_is_integral():
+    g = IsometryN(6, ((1, 0, 0), (0, Fraction(2, 1), 0), (0, 0, 1)))
+    assert repr(g) == "IsometryN(d=6, m=((1, 0, 0), (0, 2, 0), (0, 0, 1)))"
+    assert hash(g) == hash((6, ((1, 0, 0), (0, 2, 0), (0, 0, 1))))
+    assert g == IsometryN(6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
+    h = IsometryN(6, ((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 2)))
+    assert repr(h) == "IsometryN(d=6, m=((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 2)))"
+    assert h != g and hash(h) == hash((6, h.m))
+
 def test_exactness_guard():
     with pytest.raises(TypeError):
         IsometryN(2, ((1.5, 0, 0), (0, 1, 0), (0, 0, 1)))

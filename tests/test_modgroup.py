@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -273,3 +274,38 @@ def test_random_gamma0_pinned_draws():
         assert [(w.a, w.b, w.c, w.e) for w in got] == expected
         assert all(w.d == d and w.s == 1 for w in got)
         assert rng.getrandbits(32) == GAMMA0_NEXT_BITS[d, seed]
+
+
+# random_al draws, recorded before the sampler's and al_mul's fast paths:
+# per (d, seed), 10 draws for each exact divisor s in ascending order, as
+# "d s a b c e" lines joined by newlines and hashed, then the generator's
+# next 32 bits.  This pins random_gamma0, base_element and al_mul together
+# with the number of RNG calls they make.
+RANDOM_AL_PINS = {
+    (1, 44): ("e2c5289fa315b438c7bf3569e5fc0d113b6bade611d494d5569a09572a3be9a2",
+              2955950365),
+    (6, 45): ("709f1b786240b5823a48140a66fab984cf6d3509f958b185e9df10f2407b9f64",
+              905655461),
+    (30030, 46): ("2ae16ba06bfdffa913f765fa2d1b2f6b8c14c410ca84c0cc7a98324a3bb97b94",
+                  4139960902),
+    (9699690, 47): ("1e48181035421078c8a9987ac7a0bacc179786dad89b8da6ece77cd921cb874a",
+                    3860177560),
+}
+RANDOM_AL_FIRST_AT_ONE = [
+    (1409, 10851, -415, -3196), (116, 971, -27, -226), (607, 4115, -77, -522),
+    (332, 631, 1157, 2199), (114, 101, 79, 70), (1555, -13613, -403, 3528),
+    (627, 4457, -83, -590), (93, 50, 13, 7), (9345, -53986, 991, -5725),
+    (3823, -21782, 420, -2393),
+]
+
+
+def test_random_al_pinned_draws():
+    for (d, seed), (digest, next_bits) in RANDOM_AL_PINS.items():
+        rng = random.Random(seed)
+        got = [random_al(d, s, rng) for s in exact_divisor_values(d) for _ in range(10)]
+        if d == 1:
+            assert [(w.a, w.b, w.c, w.e) for w in got] == RANDOM_AL_FIRST_AT_ONE
+        text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert len(got) == 10 * len(exact_divisor_values(d))
+        assert rng.getrandbits(32) == next_bits
