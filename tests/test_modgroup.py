@@ -309,3 +309,33 @@ def test_random_al_pinned_draws():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert len(got) == 10 * len(exact_divisor_values(d))
         assert rng.getrandbits(32) == next_bits
+
+
+# random_al draws at other bounds, recorded before the fused sampler: per
+# (d, bound, seed), 10 draws for each of the first 64 exact divisors in
+# ascending order, hashed as in RANDOM_AL_PINS, then the next 32 bits.
+# bound=0 draws only identity factors but still spends the generator;
+# 614889782588491410 is the level of omega 15 below 2**64.
+RANDOM_AL_BOUND_PINS = {
+    (6, 0, 48): ("4661ce1f91f315ab2229529a448a7539a9653ab0dc91a2a27fb7c58538338a39",
+                 683189560),
+    (6, 4, 49): ("790c36c0125504bc5f7bfcd3715adc4eb408453b924bb9dd65835f4c2973929b",
+                 2529402452),
+    (510510, 0, 50): ("971acf91ea0f0d3aba7f1d1ad5b2d5bf93f2b41bea526874894769b6c1abe279",
+                      953376580),
+    (510510, 4, 51): ("d25a38256557fe7788ebd6a69fad612486475cfa1e9886ae7ce3841324390768",
+                      1446291698),
+    (614889782588491410, 10, 52): (
+        "836583d0413ae21300f826a8b4125e3680ce3ba25303cccb837e7be75aaa0f82", 2079699785),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RANDOM_AL_BOUND_PINS))
+def test_random_al_pinned_draws_at_other_bounds(key):
+    d, bound, seed = key
+    digest, next_bits = RANDOM_AL_BOUND_PINS[key]
+    rng = random.Random(seed)
+    got = [random_al(d, s, rng, bound) for s in exact_divisor_values(d)[:64] for _ in range(10)]
+    text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert rng.getrandbits(32) == next_bits
