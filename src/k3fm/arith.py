@@ -21,10 +21,17 @@ __all__ = [
 ]
 
 
+# Levels are factorized exactly below this bound: there the twelve
+# Miller-Rabin bases below are a proof of primality (they are exact below
+# 3.18e23) and Pollard rho needs about n**(1/4) steps.
+FACTORIZE_BOUND = 2**64
+
+
 @dataclass(frozen=True)
 class Factorization:
     """n written as a product of prime powers, primes strictly increasing.
-    `divisors` holds its 2**omega exact divisors, ascending."""
+    `divisors` holds its 2**omega exact divisors, ascending; n is below
+    FACTORIZE_BOUND, so there are at most 2**15 of them."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
@@ -33,6 +40,8 @@ class Factorization:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
+        if self.n >= FACTORIZE_BOUND:
+            raise ValueError(f"n must be below 2**64, got {self.n}")
         prod = 1
         last = 1
         divisors = [1]
@@ -40,8 +49,10 @@ class Factorization:
             if p <= last or k < 1:
                 raise ValueError("factors must be sorted prime powers")
             last = p
-            q = p**k
+            q = p**k if k < 64 else FACTORIZE_BOUND  # p**k >= 2**k
             prod *= q
+            if prod > self.n:  # stop before a further doubling of divisors
+                break
             divisors += [v * q for v in divisors]
         if prod != self.n:
             raise ValueError(f"factors do not multiply to {self.n}")
@@ -52,12 +63,6 @@ class Factorization:
     def omega(self) -> int:
         """Number of distinct prime factors."""
         return len(self.factors)
-
-
-# Levels are factorized exactly below this bound: there the twelve
-# Miller-Rabin bases below are a proof of primality (they are exact below
-# 3.18e23) and Pollard rho needs about n**(1/4) steps.
-FACTORIZE_BOUND = 2**64
 
 
 def _range_problem(d_min: int, d_max: int) -> str | None:

@@ -152,20 +152,33 @@ def base_element(d: int, s: int) -> ALElement:
     return ALElement(d, s, a, b, 1, 1)
 
 
-def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
-    """Random element of W_1 = Gamma0(d); same seed gives the same element.
+def _below(getrandbits, n: int, k: int) -> int:
+    """A uniform draw from range(n), k = n.bit_length(): the loop CPython's
+    Random.randrange(n) runs on getrandbits, so it spends the same bits."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int, int]:
+    """random_gamma0's draw as the integers (a, b, c, e) of [[a, b], [c*d, e]].
 
     Samples the bottom-left multiplier c in [-bound, bound] and a coprime
     top-left entry, completes to determinant one, then smears with random
-    translation powers on both sides; the result is validated once.
+    translation powers on both sides.  Each entry in [-k, k] is drawn as
+    randint(-k, k) draws it, from the same bits.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    getrandbits = rng.getrandbits
     span = max(bound, 1)
-    # randrange(2*k + 1) - k makes the same draw as randint(-k, k).
+    n = 2 * bound + 1
+    n_a = 2 * span + 1
+    k, k_a = n.bit_length(), n_a.bit_length()
     while True:
-        c = rng.randrange(2 * bound + 1) - bound
-        a = rng.randrange(2 * span + 1) - span
+        c = _below(getrandbits, n, k) - bound
+        a = _below(getrandbits, n_a, k_a) - span
         if math.gcd(a, c * d) == 1:
             break
     if c == 0:
@@ -173,19 +186,45 @@ def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
     else:
         e = mod_inverse(a, abs(c * d))
         b = (a * e - 1) // (c * d)
-    j = rng.randrange(2 * bound + 1) - bound
-    k = rng.randrange(2 * bound + 1) - bound
-    # translation(d, j) * [[a, b], [c*d, e]] * translation(d, k), multiplied out
+    j = _below(getrandbits, n, k) - bound
+    m = _below(getrandbits, n, k) - bound
+    # translation(d, j) * [[a, b], [c*d, e]] * translation(d, m), multiplied out
     top = a + j * c * d
-    return ALElement(d, 1, top, top * k + b + j * e, c, e + k * c * d)
+    b, e = top * m + b + j * e, e + m * c * d
+    if top * e - b * c * d != 1:
+        raise InternalClosureViolation(f"Gamma0({d}) draw has determinant != 1")
+    return top, b, c, e
+
+
+def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
+    """Random element of W_1 = Gamma0(d); same seed gives the same element."""
+    return ALElement(d, 1, *_gamma0_draw(d, rng, bound))
 
 
 def random_al(d: int, s: int, rng: random.Random, bound: int = 10) -> ALElement:
     """Random element of W_s: the base element conjugated into the coset by
-    independent Gamma0(d) factors on both sides."""
-    left = random_gamma0(d, rng, bound)
-    right = random_gamma0(d, rng, bound)
-    return al_mul(left, al_mul(base_element(d, s), right))
+    independent Gamma0(d) factors on both sides.
+
+    The product left * [[a*s, b], [c*d, e*s]] * right is formed in integers
+    and read back as al_mul reads its product; sign normalization is
+    projective, so one validated element at the end gives al_mul's result.
+    """
+    w = base_element(d, s)
+    a1, b1, c1, e1 = _gamma0_draw(d, rng, bound)
+    a2, b2, c2, e2 = _gamma0_draw(d, rng, bound)
+    a0, b0, cd0, e0 = w.a * w.s, w.b, w.c * d, w.e * w.s
+    cd2 = c2 * d
+    m11 = a0 * a2 + b0 * cd2
+    m12 = a0 * b2 + b0 * e2
+    m21 = cd0 * a2 + e0 * cd2
+    m22 = cd0 * b2 + e0 * e2
+    cd1 = c1 * d
+    a, ra = divmod(a1 * m11 + b1 * m21, s)
+    c, rc = divmod(cd1 * m11 + e1 * m21, d)
+    e, re = divmod(cd1 * m12 + e1 * m22, s)
+    if ra or rc or re:
+        raise InternalClosureViolation(f"coset closure failed for W_{s} at d={d}")
+    return ALElement(d, s, a, a1 * m12 + b1 * m22, c, e)
 
 
 def al_to_json(w: ALElement) -> dict:

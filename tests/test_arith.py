@@ -175,6 +175,25 @@ def test_factorization_invariants_enforced():
         Factorization(12, ((2, 1), (3, 1)))  # wrong product
 
 
+FIRST_16_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def test_factorization_is_bounded_like_factorize(time_budget):
+    # 2**16 exact divisors of a 65-bit n: refused before any is built, as
+    # factorize refuses n >= 2**64.
+    n = math.prod(FIRST_16_PRIMES)
+    assert n >= 2**64
+    with time_budget(0.5):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            Factorization(n, tuple((p, 1) for p in FIRST_16_PRIMES))
+        # factors that overshoot an n in range stop the divisor doubling, and
+        # an exponent no level below 2**64 has is not raised to its power
+        with pytest.raises(ValueError, match="do not multiply"):
+            Factorization(6, tuple((p, 1) for p in FIRST_16_PRIMES + (59, 61, 67, 71)))
+        with pytest.raises(ValueError, match="do not multiply"):
+            Factorization(2, ((2, 10**9),))
+
+
 def test_exact_divisors_examples():
     assert exact_divisor_values(1) == (1,)
     assert exact_divisor_values(6) == (1, 2, 3, 6)

@@ -5,6 +5,7 @@ import pytest
 
 from k3fm.arith import exact_divisor_values, factorize, star
 from k3fm.errors import InternalClosureViolation, InvalidDeterminant, InvalidLevel, LevelMismatch
+from k3fm import modgroup
 from k3fm.modgroup import (
     ALElement,
     al_from_json,
@@ -339,3 +340,55 @@ def test_random_al_pinned_draws_at_other_bounds(key):
     text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert rng.getrandbits(32) == next_bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 21, 32, 33])
+def test_sampler_draws_as_randrange(n):
+    # The sampler draws randrange(n) as CPython's Random does: getrandbits of
+    # n.bit_length() bits until the value is below n.  The pinned draws above
+    # rest on that; if Random.randrange changes, this says so directly.
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = [modgroup._below(ours.getrandbits, n, n.bit_length()) for _ in range(200)]
+        want = [theirs.randrange(n) for _ in range(200)]
+        assert got == want and ours.getrandbits(32) == theirs.getrandbits(32), (
+            f"random.Random.randrange({n}) no longer draws as a getrandbits "
+            f"rejection loop; the sampler's streams would change with it")
+
+
+def test_negative_bound_refused_before_any_draw():
+    for sample in (lambda rng: random_al(6, 2, rng, bound=-1),
+                   lambda rng: random_gamma0(6, rng, bound=-1)):
+        rng = random.Random(5)
+        with pytest.raises(ValueError):
+            sample(rng)
+        assert rng.getrandbits(32) == random.Random(5).getrandbits(32)
+
+
+def test_random_al_refuses_a_non_exact_divisor():
+    rng = random.Random(5)
+    with pytest.raises(InvalidLevel):
+        random_al(6, 4, rng)
+    assert rng.getrandbits(32) == random.Random(5).getrandbits(32)
+
+
+def test_sampler_checks_the_determinant_of_each_draw(monkeypatch):
+    # Seed 1 draws c != 0 first at d = 6, so the completion uses mod_inverse.
+    assert random_gamma0(6, random.Random(1)).c != 0
+    real = modgroup.mod_inverse
+    monkeypatch.setattr(modgroup, "mod_inverse", lambda a, m: real(a, m) + 1)
+    with pytest.raises(InternalClosureViolation):
+        random_gamma0(6, random.Random(1))
+    for s in (1, 6):  # base_element makes no mod_inverse call for these
+        with pytest.raises(InternalClosureViolation):
+            random_al(6, s, random.Random(1))
+
+
+def test_random_al_checks_the_coset_of_its_product(monkeypatch):
+    # A base element from W_3 in place of W_2 leaves odd a*3 and e*3 where
+    # W_2 needs a*2 and e*2; the read-back remainders catch it.
+    real = modgroup.base_element
+    monkeypatch.setattr(modgroup, "base_element", lambda d, s: real(d, 3))
+    for seed in range(5):
+        with pytest.raises(InternalClosureViolation):
+            random_al(6, 2, random.Random(seed))
