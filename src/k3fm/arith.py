@@ -49,7 +49,8 @@ class Factorization:
             if p <= last or k < 1:
                 raise ValueError("factors must be sorted prime powers")
             last = p
-            q = p**k if k < 64 else FACTORIZE_BOUND  # p**k >= 2**k
+            # p**k >= 2**k, so an exponent from 64 up overshoots any n here
+            q = p**k if k < 64 else FACTORIZE_BOUND
             prod *= q
             if prod > self.n:  # stop before a further doubling of divisors
                 break

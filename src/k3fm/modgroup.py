@@ -166,8 +166,8 @@ def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int,
 
     Samples the bottom-left multiplier c in [-bound, bound] and a coprime
     top-left entry, completes to determinant one, then smears with random
-    translation powers on both sides.  Each entry in [-k, k] is drawn as
-    randint(-k, k) draws it, from the same bits.
+    translation powers on both sides.  Each uniform draw spends the same
+    generator bits as Random.randint would.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from k3fm import modgroup
 from k3fm.arith import exact_divisor_values, factorize, star
 from k3fm.errors import InternalClosureViolation, InvalidDeterminant, InvalidLevel, LevelMismatch
-from k3fm import modgroup
 from k3fm.modgroup import (
     ALElement,
     al_from_json,
@@ -385,8 +385,8 @@ def test_sampler_checks_the_determinant_of_each_draw(monkeypatch):
 
 
 def test_random_al_checks_the_coset_of_its_product(monkeypatch):
-    # A base element from W_3 in place of W_2 leaves odd a*3 and e*3 where
-    # W_2 needs a*2 and e*2; the read-back remainders catch it.
+    # A W_3 base element where W_2 is asked for: the product's diagonal is
+    # 3 times odd entries, so reading it back as a*2 and e*2 leaves remainders.
     real = modgroup.base_element
     monkeypatch.setattr(modgroup, "base_element", lambda d, s: real(d, 3))
     for seed in range(5):
