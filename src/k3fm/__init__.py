@@ -35,7 +35,6 @@ from .errors import (
 )
 from .fmcalc import (
     InducedTransform,
-    MukaiVector,
     PartnerLabel,
     compose,
     induced_transform,
@@ -46,7 +45,6 @@ from .fmcalc import (
 )
 from .halfplane import (
     HalfPlanePoint,
-    central_charge,
     charge_product_defect,
     embed,
     equivariance_defect,
@@ -55,7 +53,6 @@ from .halfplane import (
     real_matrix,
 )
 from .lattice import (
-    DiscriminantUnit,
     IsometryN,
     discriminant_unit,
     is_isometry,

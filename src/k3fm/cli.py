@@ -19,14 +19,9 @@ import sys
 
 from .arith import Factorization, _range_problem, factorize_window
 from .corr import descend, represent
-from .errors import K3FMError, NotAnIsometry
+from .errors import K3FMError
 from .fmcalc import induced_transform, partner_census, partner_representatives
-from .lattice import (
-    discriminant_unit,
-    is_isometry,
-    is_orientation_preserving,
-    isometry_from_json,
-)
+from .lattice import discriminant_unit, is_orientation_preserving, isometry_from_json
 from .modgroup import al_from_json, al_to_json, fricke_coset_count, is_fricke
 from .verify import CSV_HEADER, VerifyConfig, _flag, render, run_verify
 
@@ -152,14 +147,13 @@ def _cmd_classify(args) -> int:
             g = isometry_from_json(obj, args.d)
         else:
             raise ValueError("expected an element object or a 3x3 array")
-        if not is_isometry(g):
-            raise NotAnIsometry("matrix does not preserve the Gram form")
+        orientation = is_orientation_preserving(g)  # runs the Gram test first
         w = descend(g)
         record = {
             "s": str(w.s),
             "fricke": is_fricke(w),
-            "discriminant_unit": str(discriminant_unit(g).u),
-            "orientation": is_orientation_preserving(g),
+            "discriminant_unit": str(discriminant_unit(g)),
+            "orientation": orientation,
         }
     except K3FMError as exc:
         raise _Exit(3, f"not classifiable: {exc}") from None

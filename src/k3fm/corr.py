@@ -130,7 +130,7 @@ def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
     except NotInImage:
         failed.append("round_trip")
     try:
-        u = discriminant_unit(g).u
+        u = discriminant_unit(g)
         acts_by_sign = u in (1 % (2 * d), (2 * d - 1) % (2 * d))
         if acts_by_sign != is_fricke(w):
             failed.append("fricke_criterion")

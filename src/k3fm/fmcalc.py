@@ -25,7 +25,6 @@ from .errors import (
 from .modgroup import ALElement, al_inverse, al_mul
 
 __all__ = [
-    "MukaiVector",
     "PartnerLabel",
     "InducedTransform",
     "partner_label",
@@ -36,29 +35,6 @@ __all__ = [
     "compose",
     "invert",
 ]
-
-
-@dataclass(frozen=True)
-class MukaiVector:
-    """Triple (r, n, s) standing for r + n*L + s in the numerical
-    Grothendieck group of a degree-2d surface."""
-
-    d: int
-    r: int
-    n: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-
-    @property
-    def self_pairing(self) -> int:
-        return 2 * self.d * self.n * self.n - 2 * self.r * self.s
-
-    @property
-    def is_isotropic(self) -> bool:
-        return self.self_pairing == 0
 
 
 @dataclass(frozen=True)

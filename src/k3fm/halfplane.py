@@ -1,6 +1,5 @@
 """Floating-point layer: upper-half-plane actions, the tube-domain
-embedding, central charges, and the cross-checks tying the 2x2 and 3x3
-pictures together.
+embedding, and the cross-checks tying the 2x2 and 3x3 pictures together.
 
 Exactness lives in the other modules; this one renders coset elements to
 real matrices (the only place a square root is taken) and measures
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 from .corr import represent
 from .errors import LevelMismatch, NotInUpperHalfPlane, NumericalPole, ZeroRank
-from .fmcalc import InducedTransform, MukaiVector
+from .fmcalc import InducedTransform
 from .lattice import IsometryN
 from .modgroup import ALElement
 
@@ -25,7 +24,6 @@ __all__ = [
     "embed",
     "mobius",
     "induced_action",
-    "central_charge",
     "equivariance_defect",
     "charge_product_defect",
 ]
@@ -109,15 +107,6 @@ def induced_action(
     return HalfPlanePoint(out.real, out.imag)
 
 
-def central_charge(beta: float, omega: float, v: MukaiVector) -> complex:
-    """<exp((beta + i*omega) L), v> with the pairing extended bilinearly;
-    beta and omega are the real multiples of L, omega > 0."""
-    if not omega > 0:
-        raise NotInUpperHalfPlane(f"omega={omega} is not positive")
-    zz = complex(beta, omega)
-    return 2 * v.d * zz * v.n - v.s - v.d * zz * zz * v.r
-
-
 def equivariance_defect(
     w: ALElement, z: HalfPlanePoint, isometry: IsometryN | None = None
 ) -> float:
@@ -148,8 +137,10 @@ def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:
     """|Z_src(z) * Z_tgt(t(z)) - 1| for the isotropic point-image vectors of
     a rank-nonzero transform.
 
-    The source-side vector is (rank, n_src, d*n_src^2/rank) and likewise on
-    the target side; isotropy makes both fourth components integers.
+    The source-side vector is (r, n, s) = (rank, n_src, d*n_src^2/rank) and
+    likewise on the target side; isotropy makes s an integer on both sides.
+    Each vector's central charge <exp(z*L), r + n*L + s> is
+    2*d*z*n - s - d*z^2*r.
     """
     if t.rank == 0:
         raise ZeroRank("rank-zero transforms have no charge product")
@@ -158,8 +149,7 @@ def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:
     s_tgt, rem_tgt = divmod(d * t.n_tgt * t.n_tgt, t.rank)
     if rem_src or rem_tgt:
         raise ValueError("twist data do not form isotropic vectors")
-    v_src = MukaiVector(d, t.rank, t.n_src, s_src)
-    v_tgt = MukaiVector(d, t.rank, t.n_tgt, s_tgt)
-    z2 = mobius(t.image, z)
-    prod = central_charge(z.u, z.v, v_src) * central_charge(z2.u, z2.v, v_tgt)
+    r, z1, z2 = t.rank, z.z, mobius(t.image, z).z
+    prod = ((2 * d * z1 * t.n_src - s_src - d * z1 * z1 * r)
+            * (2 * d * z2 * t.n_tgt - s_tgt - d * z2 * z2 * r))
     return abs(prod - 1.0)

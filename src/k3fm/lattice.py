@@ -24,7 +24,6 @@ __all__ = [
     "Exact",
     "Matrix",
     "IsometryN",
-    "DiscriminantUnit",
     "mat_neg",
     "mat_det",
     "is_isometry",
@@ -75,7 +74,7 @@ class IsometryN:
     is_integral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        if not isinstance(self.d, int) or self.d < 1:
             raise ValueError("d must be a positive integer")
         if len(self.m) != 3 or any(len(row) != 3 for row in self.m):
             raise ValueError("m must be 3x3")
@@ -90,24 +89,6 @@ class IsometryN:
             rows.append(tuple(exact))
         object.__setattr__(self, "m", tuple(rows))
         object.__setattr__(self, "is_integral", integral)
-
-
-@dataclass(frozen=True)
-class DiscriminantUnit:
-    """A unit u mod 2d with u^2 = 1 (mod 4d): the multiplier by which an
-    integral isometry acts on the discriminant group Z/2d."""
-
-    d: int
-    u: int
-
-    def __post_init__(self) -> None:
-        twod = 2 * self.d
-        if not 0 <= self.u < twod:
-            raise ValueError(f"unit must be reduced mod {twod}")
-        if math.gcd(self.u, twod) != 1:
-            raise ValueError(f"{self.u} is not a unit mod {twod}")
-        if (self.u * self.u - 1) % (4 * self.d) != 0:
-            raise ValueError(f"{self.u}^2 != 1 mod {4 * self.d}")
 
 
 def is_isometry(g: IsometryN) -> bool:
@@ -133,14 +114,15 @@ def is_orientation_preserving(g: IsometryN) -> bool:
     (d*u0 - u4)*v_ell - u_ell*(d*v0 - v4) for u = g*p1 and v = g*p2.
     """
     if not is_isometry(g):
-        raise NotAnIsometry("orientation test requires a Gram-preserving matrix")
+        raise NotAnIsometry("matrix does not preserve the Gram form")
     d, m = g.d, g.m
     u0, u_ell, u4 = (row[0] - d * row[2] for row in m)  # v = g*p2 is column 1
     return (d * u0 - u4) * m[1][1] > u_ell * (d * m[0][1] - m[2][1])
 
 
-def discriminant_unit(g: IsometryN) -> DiscriminantUnit:
-    """The unit by which g multiplies the discriminant group Z/2d.
+def discriminant_unit(g: IsometryN) -> int:
+    """The unit u mod 2d, reduced to [0, 2d), by which g multiplies the
+    discriminant group Z/2d; u is a unit with u^2 = 1 (mod 4d).
 
     The e0/e4 block of the Gram matrix is unimodular, so the discriminant
     group is cyclic, generated by ell/2d.  For an integral isometry the e0
@@ -161,7 +143,7 @@ def discriminant_unit(g: IsometryN) -> DiscriminantUnit:
         raise ActionNotDiagonal(
             f"multiplier {u} does not preserve the discriminant form mod {2 * twod}"
         )
-    return DiscriminantUnit(g.d, u)
+    return u
 
 
 def isometry_to_json(g: IsometryN) -> list:

@@ -8,7 +8,6 @@ from k3fm.corr import descend, represent
 from k3fm.errors import EndpointMismatch, InvalidLevel
 from k3fm.fmcalc import (
     InducedTransform,
-    MukaiVector,
     PartnerLabel,
     compose,
     induced_transform,
@@ -18,7 +17,6 @@ from k3fm.fmcalc import (
     source_twist,
 )
 from k3fm.modgroup import al_identity, fricke_coset_count, is_fricke, translation
-from oracles import pair
 
 
 def brute_partner_classes(d):
@@ -81,15 +79,6 @@ def test_partner_label_rendering():
     for d in (1, 2, 6, 12, 30, 210):
         for lab in partner_census(d):
             assert lab.is_fine  # gcd(r, 2d, d/r) = 1 follows from exactness
-
-
-def test_mukai_vector_pairing_matches_lattice():
-    rng = random.Random(31)
-    for _ in range(50):
-        d = rng.randint(1, 40)
-        v = MukaiVector(d, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        coords = (v.r, v.n, v.s)
-        assert v.self_pairing == pair(d, coords, coords)
 
 
 def test_source_twist_examples():

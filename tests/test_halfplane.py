@@ -5,10 +5,9 @@ import pytest
 
 from k3fm.arith import exact_divisor_values
 from k3fm.errors import LevelMismatch, NotInUpperHalfPlane, ZeroRank
-from k3fm.fmcalc import MukaiVector, induced_transform
+from k3fm.fmcalc import induced_transform
 from k3fm.halfplane import (
     HalfPlanePoint,
-    central_charge,
     charge_product_defect,
     embed,
     equivariance_defect,
@@ -132,58 +131,6 @@ def test_induced_action_matches_matrix():
                 zm = mobius(t.image, z)
                 assert abs(za.z - zm.z) / max(1.0, abs(zm.z)) < LOCAL_TOL
                 assert za.v > 0
-
-
-def test_central_charge_point_class():
-    rng = random.Random(45)
-    for d in (1, 6, 30):
-        point = MukaiVector(d, 0, 0, 1)
-        for _ in range(20):
-            z = random_point(rng)
-            assert central_charge(z.u, z.v, point) == -1
-
-
-def test_central_charge_closed_form_isotropic():
-    # for isotropic (r, n, s) the charge is -r*d*(z - n/r)^2
-    rng = random.Random(46)
-    for d in (2, 6, 30):
-        for r in exact_divisor_values(d):
-            v = MukaiVector(d, r, 1, d // r)
-            for _ in range(20):
-                z = random_point(rng)
-                direct = central_charge(z.u, z.v, v)
-                closed = -r * d * (z.z - v.n / v.r) ** 2
-                assert abs(direct - closed) <= LOCAL_TOL * max(1.0, abs(closed))
-
-
-def test_central_charge_closed_form_general():
-    # for any r != 0 the charge equals v^2/(2r) + r*d*(omega + i(n/r - beta))^2
-    # with the square taken under the intersection form (L^2 = 2d)
-    rng = random.Random(51)
-    for _ in range(60):
-        d = rng.randint(1, 30)
-        r = rng.choice([x for x in range(-6, 7) if x])
-        v = MukaiVector(d, r, rng.randint(-6, 6), rng.randint(-6, 6))
-        z = random_point(rng)
-        direct = central_charge(z.u, z.v, v)
-        square = (z.v + 1j * (v.n / r - z.u)) ** 2
-        closed = v.self_pairing / (2 * r) + r * d * square
-        assert abs(direct - closed) <= LOCAL_TOL * max(1.0, abs(closed))
-
-
-def test_central_charge_bilinearity():
-    rng = random.Random(47)
-    d = 6
-    for _ in range(30):
-        v1 = MukaiVector(d, rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-        v2 = MukaiVector(d, rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-        vsum = MukaiVector(d, v1.r + v2.r, v1.n + v2.n, v1.s + v2.s)
-        z = random_point(rng)
-        lhs = central_charge(z.u, z.v, vsum)
-        rhs = central_charge(z.u, z.v, v1) + central_charge(z.u, z.v, v2)
-        assert abs(lhs - rhs) <= LOCAL_TOL * max(1.0, abs(rhs))
-    with pytest.raises(NotInUpperHalfPlane):
-        central_charge(0.0, 0.0, MukaiVector(6, 1, 0, 0))
 
 
 def test_charge_product_identity():

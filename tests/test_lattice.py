@@ -7,7 +7,6 @@ from k3fm.arith import exact_divisor_values
 from k3fm.corr import represent
 from k3fm.errors import ActionNotDiagonal, NotAnIsometry, NotIntegral
 from k3fm.lattice import (
-    DiscriminantUnit,
     IsometryN,
     discriminant_unit,
     is_isometry,
@@ -53,10 +52,10 @@ def test_orientation_examples():
 def test_discriminant_unit_examples():
     d = 6
     one = IsometryN(d, IDENTITY)
-    assert discriminant_unit(one).u == 1
-    assert discriminant_unit(IsometryN(d, neg(one.m))).u == 2 * d - 1
+    assert discriminant_unit(one) == 1
+    assert discriminant_unit(IsometryN(d, neg(one.m))) == 2 * d - 1
     g = represent(base_element(6, 2))
-    u = discriminant_unit(g).u
+    u = discriminant_unit(g)
     assert (u * u - 1) % 24 == 0
     assert u % 12 not in (1, 11)
     assert u == 7
@@ -67,7 +66,7 @@ def test_discriminant_unit_brute_force_action():
     # k*ell/2d must differ from u*k*ell/2d by a lattice vector
     d = 6
     g = represent(base_element(6, 2))
-    u = discriminant_unit(g).u
+    u = discriminant_unit(g)
     twod = 2 * d
     for k in range(twod):
         image = mat_vec(g.m, (Fraction(0), Fraction(k, twod), Fraction(0)))
@@ -82,28 +81,27 @@ def test_discriminant_unit_multiplicative():
         for _ in range(30):
             g = represent(random_al(d, rng.choice(values), rng))
             h = represent(random_al(d, rng.choice(values), rng))
-            ugh = discriminant_unit(IsometryN(g.d, mat_mul(g.m, h.m))).u
-            assert ugh == (discriminant_unit(g).u * discriminant_unit(h).u) % (2 * d)
+            ugh = discriminant_unit(IsometryN(g.d, mat_mul(g.m, h.m)))
+            assert ugh == (discriminant_unit(g) * discriminant_unit(h)) % (2 * d)
 
 
 def test_star_kernel():
     d = 6
     one = IsometryN(d, IDENTITY)
-    assert discriminant_unit(one).u == 1
-    assert discriminant_unit(IsometryN(d, neg(one.m))).u != 1
+    assert discriminant_unit(one) == 1
+    assert discriminant_unit(IsometryN(d, neg(one.m))) != 1
     rng = random.Random(14)
     for _ in range(1000):
         g = represent(random_gamma0(d, rng))
-        assert discriminant_unit(g).u == 1
+        assert discriminant_unit(g) == 1
 
 
 def test_unit_square_identity_on_samples():
     rng = random.Random(15)
     for d in (2, 6, 30):
         for s in exact_divisor_values(d):
-            u = discriminant_unit(represent(random_al(d, s, rng))).u
+            u = discriminant_unit(represent(random_al(d, s, rng)))
             assert (u * u - 1) % (4 * d) == 0
-            DiscriminantUnit(d, u)  # invariants re-validated on construction
 
 
 def test_discriminant_unit_rejections():
@@ -126,10 +124,14 @@ def test_discriminant_unit_rejections():
 
 
 def test_discriminant_unit_invariants():
-    with pytest.raises(ValueError):
-        DiscriminantUnit(6, 2)  # not a unit
-    with pytest.raises(ValueError):
-        DiscriminantUnit(8, 3)  # 9 != 1 mod 32
+    """The multiplier read off an integral matrix must be a unit mod 2d with
+    u^2 = 1 (mod 4d); discriminant_unit itself refuses one that is not."""
+    not_a_unit = IsometryN(6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))  # 2 mod 12
+    with pytest.raises(ActionNotDiagonal, match="multiplier 2 "):
+        discriminant_unit(not_a_unit)
+    bad_square = IsometryN(8, ((1, 0, 0), (0, 3, 0), (0, 0, 1)))  # 9 != 1 mod 32
+    with pytest.raises(ActionNotDiagonal, match="multiplier 3 "):
+        discriminant_unit(bad_square)
 
 
 def test_isometry_json_round_trip():
@@ -198,6 +200,14 @@ def test_exactness_guard():
         IsometryN(2, ((1.5, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(TypeError):
         IsometryN(2, (("1", 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_level_must_be_a_positive_integer():
+    """A float or Fraction level is refused on construction, not later by
+    descend's integer arithmetic."""
+    for d in (6.0, Fraction(6), 0, -1):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            IsometryN(d, IDENTITY)
 
 
 def _is_isometry_reference(g):

@@ -1,6 +1,7 @@
 """The public names: every `__all__` entry exists, every name the package
-re-exports is in the `__all__` of the module that defines it, and every
-function the benchmark tracer wraps is still there to wrap."""
+re-exports is in the `__all__` of the module that defines it, every
+function the benchmark tracer wraps is still there to wrap, and no module
+imports a name it neither reads nor exports."""
 
 import ast
 import importlib
@@ -45,3 +46,28 @@ def test_benchmark_traced_names_resolve():
         if fn == "ALElement":
             target = getattr(target, "__post_init__", None)
         assert callable(target), f"k3fm.{layer}.{fn}"
+
+
+def test_no_unused_imports():
+    """Every name a module imports at top level is read in that module or
+    listed in its `__all__`: a stdlib stand-in for an unused-import lint.
+    `__init__.py` only re-exports, so it is left out; modules are parsed,
+    not imported, so `__main__.py` is checked without running it."""
+    src = Path(k3fm.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                exported = set(ast.literal_eval(node.value))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused = imported - read - exported
+        assert not unused, (path.name, sorted(unused))
