@@ -83,6 +83,17 @@ CASES = {
     'verify-2310-json': (
         'verify --d-min 2310 --d-max 2310 --samples 2 --format json', None, 1, '',
         'ca959478438d085f3d9a23d3b4d8b7705f6fc720ac8d17a08a14dc395fd246cb'),
+    # Levels of omega 7 and 8, where the sampler's coprimality loop repeats
+    # most and a level has more cosets than small runs touch.  Like
+    # verify-2310-*, they exit 1 on the analytic charge check, whose expanded
+    # form cancels catastrophically at large d; the fix of that formula
+    # moves these bytes together with verify-2310-*.
+    'verify-510510-json': (
+        'verify --d-min 510510 --d-max 510510 --samples 2 --seed 3 --format json', None, 1, '',
+        '89528e82b1e6832214b0d15316680698dd5e0c997f708ea651a73ab4d5925f82'),
+    'verify-9699690-json': (
+        'verify --d-min 9699690 --d-max 9699690 --samples 2 --seed 3 --format json', None, 1, '',
+        'a0c75bd708ab85cdbbcb94904f00dd7cd04212cc642a030159c468514ff81cfc'),
     'table-csv': (
         'table --d-min 1 --d-max 30 --format csv', None, 0, '',
         'a0fec094e6c64c0c5257660fa8d030e4643e139c9d652fa3e56062c3a2504ae2'),
