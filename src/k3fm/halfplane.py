@@ -121,16 +121,35 @@ def equivariance_defect(
     check that corruption is visible.
     """
     g = represent(w) if isometry is None else isometry
-    if g.d != w.d:
+    d = w.d
+    if g.d != d:
         raise LevelMismatch("matrix level does not match the element")
-    gm = tuple(tuple(float(x) for x in row) for row in g.m)
-    tv = embed(z, w.d)
-    x = tuple(sum(gm[i][k] * tv[k] for k in range(3)) for i in range(3))
-    y = embed(mobius(w, z), w.d)
-    j = max(range(3), key=lambda i: abs(x[i]) + abs(y[i]))
-    if abs(x[j]) < _TINY or abs(y[j]) < _TINY:
+    # Straight-line form of x = g * embed(z) and y = embed(mobius(w, z)),
+    # with the same complex operations in the same order (each row sum
+    # starts from the int 0 as sum() does) and the final sum still left to
+    # sum(), whose float rounding varies by Python version: every float
+    # matches the row-sum-of-generators form this replaces.
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g.m
+    g00, g01, g02 = float(g00), float(g01), float(g02)
+    g10, g11, g12 = float(g10), float(g11), float(g12)
+    g20, g21, g22 = float(g20), float(g21), float(g22)
+    one, zz = complex(1.0), z.z
+    zz2 = d * zz * zz
+    x0 = 0 + g00 * one + g01 * zz + g02 * zz2
+    x1 = 0 + g10 * one + g11 * zz + g12 * zz2
+    x2 = 0 + g20 * one + g21 * zz + g22 * zz2
+    y1 = mobius(w, z).z
+    y2 = d * y1 * y1
+    # The best-conditioned coordinate, chosen as max(range(3), key=...) would.
+    k0, k1, k2 = abs(x0) + abs(one), abs(x1) + abs(y1), abs(x2) + abs(y2)
+    if k1 > k0:
+        xj, yj = (x2, y2) if k2 > k1 else (x1, y1)
+    else:
+        xj, yj = (x2, y2) if k2 > k0 else (x0, one)
+    if abs(xj) < _TINY or abs(yj) < _TINY:
         raise NumericalPole("projectivization degenerated")
-    return math.sqrt(sum(abs(x[i] / x[j] - y[i] / y[j]) ** 2 for i in range(3)))
+    return math.sqrt(sum((abs(x0 / xj - one / yj) ** 2, abs(x1 / xj - y1 / yj) ** 2,
+                          abs(x2 / xj - y2 / yj) ** 2)))
 
 
 def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:

@@ -58,11 +58,6 @@ def mat_det(a: Matrix) -> Exact:
     )
 
 
-def _pair(d: int, u, v) -> Exact:
-    """<u, v> = 2d*u_ell*v_ell - u0*v4 - u4*v0 on coordinate triples."""
-    return 2 * d * u[1] * v[1] - u[0] * v[2] - u[2] * v[0]
-
-
 @dataclass(frozen=True)
 class IsometryN:
     """A 3x3 exact-rational matrix acting on the lattice; whether it really
@@ -76,8 +71,18 @@ class IsometryN:
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError("d must be a positive integer")
-        if len(self.m) != 3 or any(len(row) != 3 for row in self.m):
+        if len(self.m) != 3:
             raise ValueError("m must be 3x3")
+        r0, r1, r2 = self.m
+        if len(r0) != 3 or len(r1) != 3 or len(r2) != 3:
+            raise ValueError("m must be 3x3")
+        for x in (*r0, *r1, *r2):
+            if type(x) is not int:
+                break
+        else:  # every entry a plain int, as every lift: nothing to coerce
+            object.__setattr__(self, "m", (tuple(r0), tuple(r1), tuple(r2)))
+            object.__setattr__(self, "is_integral", True)
+            return
         rows, integral = [], True
         for row in self.m:
             exact = []
@@ -93,12 +98,17 @@ class IsometryN:
 
 def is_isometry(g: IsometryN) -> bool:
     """Exact check of transpose(m) * Gram * m == Gram.  Entry (i, j) of the
-    left side is the pairing <c_i, c_j> of columns i and j of m, so the images
-    of (e0, ell, e4) must pair as the basis does; exact for int and Fraction."""
-    d = g.d
-    c0, c1, c2 = zip(*g.m)
-    return (_pair(d, c0, c2), _pair(d, c1, c1), _pair(d, c0, c0), _pair(d, c2, c2),
-            _pair(d, c0, c1), _pair(d, c1, c2)) == (-1, 2 * d, 0, 0, 0, 0)
+    left side is the pairing <c_i, c_j> = 2d*c_i[1]*c_j[1] - c_i[0]*c_j[2]
+    - c_i[2]*c_j[0] of columns i and j of m, so the images u, v, w of
+    (e0, ell, e4) must pair as the basis does; exact for int and Fraction."""
+    twod = 2 * g.d
+    (u0, v0, w0), (u1, v1, w1), (u2, v2, w2) = g.m
+    return (twod * u1 * w1 - u0 * w2 - u2 * w0 == -1
+            and twod * v1 * v1 - 2 * v0 * v2 == twod
+            and twod * u1 * u1 - 2 * u0 * u2 == 0
+            and twod * w1 * w1 - 2 * w0 * w2 == 0
+            and twod * u1 * v1 - u0 * v2 - u2 * v0 == 0
+            and twod * v1 * w1 - v0 * w2 - v2 * w0 == 0)
 
 
 def is_orientation_preserving(g: IsometryN) -> bool:

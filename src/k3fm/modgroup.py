@@ -18,6 +18,7 @@ stored sign is normalized so the first nonzero of (a, c, b, e) is positive.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -134,11 +135,14 @@ def fricke_coset_count(d: int) -> int:
     return len(exact_divisor_values(d)) // len({1, d})
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def base_element(d: int, s: int) -> ALElement:
     """A canonical element of W_s with small nonnegative entries.
 
     s=1 gives the identity and s=d the involution z -> -1/(dz); otherwise
     the entries come from the smallest solution of a*s - b*(d/s) = 1.
+    Memoized (elements are immutable): 256 entries hold every coset of a
+    level of omega 8, so a verify run's repeated draws at one level hit.
     """
     if not is_exact_divisor(s, d):
         raise InvalidLevel(f"s={s} is not an exact divisor of d={d}")
@@ -167,7 +171,8 @@ def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int,
     Samples the bottom-left multiplier c in [-bound, bound] and a coprime
     top-left entry, completes to determinant one, then smears with random
     translation powers on both sides.  Each uniform draw spends the same
-    generator bits as Random.randint would.
+    generator bits as Random.randint would; the coprimality loop inlines
+    _below, since at 210 | d it rejects most rounds.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -176,22 +181,30 @@ def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int,
     n = 2 * bound + 1
     n_a = 2 * span + 1
     k, k_a = n.bit_length(), n_a.bit_length()
+    gcd = math.gcd
     while True:
-        c = _below(getrandbits, n, k) - bound
-        a = _below(getrandbits, n_a, k_a) - span
-        if math.gcd(a, c * d) == 1:
+        c = getrandbits(k)
+        while c >= n:
+            c = getrandbits(k)
+        a = getrandbits(k_a)
+        while a >= n_a:
+            a = getrandbits(k_a)
+        c -= bound
+        a -= span
+        cd = c * d
+        if gcd(a, cd) == 1:
             break
     if c == 0:
         b, e = 0, a
     else:
-        e = mod_inverse(a, abs(c * d))
-        b = (a * e - 1) // (c * d)
+        e = mod_inverse(a, abs(cd))
+        b = (a * e - 1) // cd
     j = _below(getrandbits, n, k) - bound
     m = _below(getrandbits, n, k) - bound
     # translation(d, j) * [[a, b], [c*d, e]] * translation(d, m), multiplied out
-    top = a + j * c * d
-    b, e = top * m + b + j * e, e + m * c * d
-    if top * e - b * c * d != 1:
+    top = a + j * cd
+    b, e = top * m + b + j * e, e + m * cd
+    if top * e - b * cd != 1:
         raise InternalClosureViolation(f"Gamma0({d}) draw has determinant != 1")
     return top, b, c, e
 

@@ -1,9 +1,15 @@
 """Test-local lattice arithmetic, kept apart from the library so the
-references built on it do not share code with what they check.
+references built on it do not share code with what they check, and a
+float reference for the half-plane layer.
 
 Matrices are 3x3 tuples of rows; vectors are coordinate triples in the
 basis (e0, ell, e4).
 """
+
+import math
+
+from k3fm.errors import NumericalPole
+from k3fm.halfplane import mobius
 
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -32,3 +38,19 @@ def mat_vec(a, v):
 
 def neg(a):
     return tuple(tuple(-x for x in row) for row in a)
+
+
+def equivariance_defect(w, z, g):
+    """halfplane.equivariance_defect in its row-sum-of-generators form: the
+    lift g acts on embed(z) = (1, z, d*z^2) by generator sums, the best
+    coordinate is picked by max, and the distance is a generator sum.  The
+    library's straight-line form must give the same float, bit for bit."""
+    gm = tuple(tuple(float(x) for x in row) for row in g.m)
+    zz, zm = z.z, mobius(w, z).z
+    tv = (complex(1.0), zz, w.d * zz * zz)
+    x = tuple(sum(gm[i][k] * tv[k] for k in range(3)) for i in range(3))
+    y = (complex(1.0), zm, w.d * zm * zm)
+    j = max(range(3), key=lambda i: abs(x[i]) + abs(y[i]))
+    if abs(x[j]) < 1e-300 or abs(y[j]) < 1e-300:
+        raise NumericalPole("projectivization degenerated")
+    return math.sqrt(sum(abs(x[i] / x[j] - y[i] / y[j]) ** 2 for i in range(3)))

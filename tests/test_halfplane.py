@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import oracles
 from k3fm.arith import exact_divisor_values
-from k3fm.errors import LevelMismatch, NotInUpperHalfPlane, ZeroRank
+from k3fm.corr import represent
+from k3fm.errors import LevelMismatch, NotInUpperHalfPlane, NumericalPole, ZeroRank
 from k3fm.fmcalc import induced_transform
 from k3fm.halfplane import (
     HalfPlanePoint,
@@ -159,3 +161,36 @@ def test_equivariance_defect_sees_corruption():
     assert equivariance_defect(w, random_point(rng), corrupted) > 1e-2
     with pytest.raises(LevelMismatch):
         equivariance_defect(w, random_point(rng), IsometryN(12, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def _outcome(defect, w, z, g):
+    """The defect as float.hex (bitwise, so -0.0 and 0.0 differ), or the
+    refusal it raised."""
+    try:
+        return defect(w, z, g).hex()
+    except NumericalPole as exc:
+        return f"NumericalPole: {exc}"
+
+
+def test_equivariance_defect_matches_the_generator_form_bit_for_bit():
+    # s = 1 and s = d base elements lift to matrices with zero entries, and
+    # points on the imaginary axis carry u = 0.0 and -0.0, so signed zeros
+    # pass through the complex products; a corrupted lift gives large
+    # defects as well as small ones.
+    rng = random.Random(53)
+    compared = 0
+    for d in (1, 6, 2310, 9699690):
+        values = exact_divisor_values(d)
+        for s in sorted({1, d, *rng.sample(values, min(len(values), 6))}):
+            for w in [base_element(d, s)] + [random_al(d, s, rng) for _ in range(3)]:
+                g = represent(w)
+                rows = [list(row) for row in g.m]
+                rows[rng.randrange(3)][rng.randrange(3)] += 1
+                points = [random_point(rng) for _ in range(6)]
+                points += [HalfPlanePoint(0.0, 1.0), HalfPlanePoint(-0.0, 0.5)]
+                for h in (g, IsometryN(d, rows)):
+                    for z in points:
+                        want = _outcome(oracles.equivariance_defect, w, z, h)
+                        assert _outcome(equivariance_defect, w, z, h) == want, (d, w, z, h)
+                        compared += 1
+    assert compared >= 1000

@@ -195,6 +195,52 @@ def test_isometry_eq_hash_repr_ignore_is_integral():
     assert repr(h) == "IsometryN(d=6, m=((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 2)))"
     assert h != g and hash(h) == hash((6, h.m))
 
+def test_plain_int_fast_path_keeps_the_coerced_form():
+    # Lists and bools skip the all-int fast path or leave it with tuples;
+    # either way m, is_integral and repr are what the coercion loop gives.
+    cases = [
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], True,
+         "IsometryN(d=3, m=((1, 2, 3), (4, 5, 6), (7, 8, 9)))"),
+        (((True, False, 0), (0, True, 0), (0, 0, True)), True,
+         "IsometryN(d=3, m=((True, False, 0), (0, True, 0), (0, 0, True)))"),
+        ([[True, 0, Fraction(4, 2)], (0, 1, 0), [0, 0, -1]], True,
+         "IsometryN(d=3, m=((True, 0, 2), (0, 1, 0), (0, 0, -1)))"),
+        ([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]], False,
+         "IsometryN(d=3, m=((1, 0, Fraction(1, 2)), (0, 1, 0), (0, 0, 1)))"),
+    ]
+    for m, integral, text in cases:
+        g = IsometryN(3, m)
+        assert type(g.m) is tuple and all(type(row) is tuple for row in g.m)
+        assert g.m == tuple(map(tuple, m)) and g.is_integral is integral
+        assert repr(g) == text
+        assert [type(x) for row in g.m for x in row] == [
+            int if type(x) is Fraction and x.denominator == 1 else type(x)
+            for row in m for x in row]
+
+
+class _UnreadableRow:
+    """A row of a given length whose entries must not be read."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        raise AssertionError("an entry was read")
+
+    __getitem__ = __iter__
+
+
+def test_shape_is_refused_before_any_entry_is_read():
+    for lengths in ((3, 3), (3, 3, 3, 3), (3, 3, 2), (2, 3, 3), (3, 4, 3)):
+        with pytest.raises(ValueError, match="m must be 3x3"):
+            IsometryN(6, tuple(_UnreadableRow(n) for n in lengths))
+    with pytest.raises(ValueError, match="m must be 3x3"):
+        IsometryN(6, ((1.5, 0), (0, 1), (0, 0)))  # the shape, not the float
+
+
 def test_exactness_guard():
     with pytest.raises(TypeError):
         IsometryN(2, ((1.5, 0, 0), (0, 1, 0), (0, 0, 1)))

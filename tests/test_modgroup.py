@@ -300,16 +300,21 @@ RANDOM_AL_FIRST_AT_ONE = [
 ]
 
 
+def _check_random_al_pin(d, seed):
+    digest, next_bits = RANDOM_AL_PINS[d, seed]
+    rng = random.Random(seed)
+    got = [random_al(d, s, rng) for s in exact_divisor_values(d) for _ in range(10)]
+    if d == 1:
+        assert [(w.a, w.b, w.c, w.e) for w in got] == RANDOM_AL_FIRST_AT_ONE
+    text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(got) == 10 * len(exact_divisor_values(d))
+    assert rng.getrandbits(32) == next_bits
+
+
 def test_random_al_pinned_draws():
-    for (d, seed), (digest, next_bits) in RANDOM_AL_PINS.items():
-        rng = random.Random(seed)
-        got = [random_al(d, s, rng) for s in exact_divisor_values(d) for _ in range(10)]
-        if d == 1:
-            assert [(w.a, w.b, w.c, w.e) for w in got] == RANDOM_AL_FIRST_AT_ONE
-        text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert len(got) == 10 * len(exact_divisor_values(d))
-        assert rng.getrandbits(32) == next_bits
+    for key in RANDOM_AL_PINS:
+        _check_random_al_pin(*key)
 
 
 # random_al draws at other bounds, recorded before the fused sampler: per
@@ -340,6 +345,30 @@ def test_random_al_pinned_draws_at_other_bounds(key):
     text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert rng.getrandbits(32) == next_bits
+
+
+def test_base_element_memo_is_bounded():
+    # 256 entries: every coset of a level of omega 8, so the second draw at
+    # each of them hits.  The omega-15 level has 32768 cosets; drawing at
+    # 1000 of them must evict, not grow, and evicted or cached base elements
+    # must leave every pinned stream as it was.
+    info = modgroup.base_element.cache_info
+    assert info().maxsize == 256
+    modgroup.base_element.cache_clear()
+    rng = random.Random(54)
+    for _ in range(2):
+        for s in exact_divisor_values(9699690):
+            random_al(9699690, s, rng)
+    assert info().hits >= 256 and info().currsize == 256
+    big = 614889782588491410
+    for s in exact_divisor_values(big)[:1000]:
+        random_al(big, s, rng)
+    assert info().currsize <= 256
+    for key in RANDOM_AL_PINS:
+        _check_random_al_pin(*key)
+    for key in RANDOM_AL_BOUND_PINS:
+        test_random_al_pinned_draws_at_other_bounds(key)
+    assert info().currsize <= 256
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 21, 32, 33])
