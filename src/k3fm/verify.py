@@ -31,9 +31,13 @@ __all__ = ["CSV_HEADER", "MAX_SAMPLED_ELEMENTS", "VerifyConfig", "render", "run_
 CSV_HEADER = ["d", "check", "ok", "detail"]
 
 # Most coset elements one run may sample, samples * sum of 2**omega(d) over
-# its levels.  Runs near it took 2.4-3.0 s at d = 1, 12 s on the one level
-# of omega 15 below 2**64 and 19-25 s on the 2000 levels below 2**64 (2-vCPU
-# x86_64 host, Python 3.11); `verify --d-max 200` samples 40050.
+# its levels.  Per-level work (factorization, the per-divisor transforms and
+# analytic points) is not counted, so the cost of an element varies about
+# tenfold with the level.  Runs near the bound took 2.3-2.6 s at d = 1 (36-39
+# us per element), 13 s on the one level of omega 15 below 2**64 (200 us)
+# and 22-23 s on the 2000 levels below 2**64 (62812 elements, about 360 us
+# each), whole-process wall time on a 2-vCPU x86_64 host, Python 3.11;
+# `verify --d-max 200` samples 40050.
 MAX_SAMPLED_ELEMENTS = 2**16
 
 

@@ -195,6 +195,7 @@ def test_isometry_eq_hash_repr_ignore_is_integral():
     assert repr(h) == "IsometryN(d=6, m=((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 2)))"
     assert h != g and hash(h) == hash((6, h.m))
 
+
 def test_plain_int_fast_path_keeps_the_coerced_form():
     # Lists and bools skip the all-int fast path or leave it with tuples;
     # either way m, is_integral and repr are what the coercion loop gives.
@@ -230,7 +231,8 @@ class _UnreadableRow:
     def __iter__(self):
         raise AssertionError("an entry was read")
 
-    __getitem__ = __iter__
+    def __getitem__(self, index):
+        raise AssertionError("an entry was read")
 
 
 def test_shape_is_refused_before_any_entry_is_read():

@@ -336,15 +336,18 @@ RANDOM_AL_BOUND_PINS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(RANDOM_AL_BOUND_PINS))
-def test_random_al_pinned_draws_at_other_bounds(key):
-    d, bound, seed = key
-    digest, next_bits = RANDOM_AL_BOUND_PINS[key]
+def _check_bound_pin(d, bound, seed):
+    digest, next_bits = RANDOM_AL_BOUND_PINS[d, bound, seed]
     rng = random.Random(seed)
     got = [random_al(d, s, rng, bound) for s in exact_divisor_values(d)[:64] for _ in range(10)]
     text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert rng.getrandbits(32) == next_bits
+
+
+@pytest.mark.parametrize("key", sorted(RANDOM_AL_BOUND_PINS))
+def test_random_al_pinned_draws_at_other_bounds(key):
+    _check_bound_pin(*key)
 
 
 def test_base_element_memo_is_bounded():
@@ -367,8 +370,17 @@ def test_base_element_memo_is_bounded():
     for key in RANDOM_AL_PINS:
         _check_random_al_pin(*key)
     for key in RANDOM_AL_BOUND_PINS:
-        test_random_al_pinned_draws_at_other_bounds(key)
+        _check_bound_pin(*key)
     assert info().currsize <= 256
+
+
+def test_base_element_memo_keys_by_type():
+    # A float level equal to a cached int one is still refused, as it was
+    # before the memo: 6.0 == 6 and hash alike, so only a typed key tells
+    # them apart.
+    assert base_element(6, 2) == ALElement(6, 2, 2, 1, 1, 1)
+    with pytest.raises(TypeError):
+        base_element(6.0, 2.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 21, 32, 33])
