@@ -20,7 +20,6 @@ from .corr import (
 from .errors import (
     ActionNotDiagonal,
     EndpointMismatch,
-    IntegralityViolation,
     InternalClosureViolation,
     InvalidDeterminant,
     InvalidLevel,

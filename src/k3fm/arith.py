@@ -173,10 +173,8 @@ def _finish(n: int, out: list[tuple[int, int]], m: int) -> Factorization:
 
 
 def _prime_factors(m: int) -> list[int]:
-    """The prime factors of m, with multiplicity; m has none below
+    """The prime factors of m > 1, with multiplicity; m has none below
     _TRIAL_LIMIT."""
-    if m == 1:
-        return []
     if _is_prime(m):
         return [m]
     f = _rho_factor(m)

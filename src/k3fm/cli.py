@@ -238,7 +238,3 @@ def main(argv: list[str] | None = None) -> int:
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

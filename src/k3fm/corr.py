@@ -17,7 +17,7 @@ import math
 import random
 
 from .arith import exact_divisor_values, is_exact_divisor
-from .errors import IntegralityViolation, K3FMError, NotAnIsometry, NotInImage
+from .errors import K3FMError, NotAnIsometry, NotInImage
 from .lattice import (
     IsometryN,
     discriminant_unit,
@@ -51,10 +51,7 @@ def represent(w: ALElement) -> IsometryN:
         (b * e, a * e * s + b * c * t, a * c),
         (b * b * t, 2 * a * b * d, a * a * s),
     )
-    g = IsometryN(d, m)
-    if not g.is_integral:
-        raise IntegralityViolation("lift of a coset element must be integral")
-    return g
+    return IsometryN(d, m)
 
 
 def _match_level(h, d: int, s: int) -> ALElement | None:

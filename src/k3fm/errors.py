@@ -35,10 +35,6 @@ class ActionNotDiagonal(K3FMError, ValueError):
     non-isometry input."""
 
 
-class IntegralityViolation(K3FMError, RuntimeError):
-    """The 3x3 lift of a coset element came out non-integral; bug trap."""
-
-
 class NotInImage(K3FMError, ValueError):
     """Matrix entry pattern is inconsistent with every Atkin-Lehner coset."""
 

@@ -16,12 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import exact_divisor_values, is_exact_divisor, mod_inverse, star
-from .errors import (
-    EndpointMismatch,
-    InternalClosureViolation,
-    InvalidLevel,
-    LevelMismatch,
-)
+from .errors import EndpointMismatch, InvalidLevel, LevelMismatch
 from .modgroup import ALElement, al_inverse, al_mul
 
 __all__ = [
@@ -49,7 +44,7 @@ class PartnerLabel:
         if not is_exact_divisor(self.r, self.d):
             raise InvalidLevel(f"r={self.r} is not an exact divisor of d={self.d}")
         if self.r * self.r > self.d:
-            raise InvalidLevel(f"label wants the representative with r <= d/r")
+            raise InvalidLevel("label wants the representative with r <= d/r")
 
     @property
     def moduli(self) -> str:
@@ -89,25 +84,20 @@ def source_twist(d: int, r: int) -> int:
     guarantees one exists."""
     if not is_exact_divisor(r, d):
         raise InvalidLevel(f"r={r} is not an exact divisor of d={d}")
-    if r == 1:
-        return 0
     return (-mod_inverse(d // r, r)) % r
 
 
 def _params_from_image(image: ALElement) -> tuple[int, int, int]:
     """(rank, n_src, n_tgt) read off a coset element.
 
-    On the sign representative with c > 0 the real matrix is exactly the
-    fractional-linear transform of a rank c^2*(d/s) transform with twists
-    n_src = -c*e and n_tgt = a*c.  c == 0 forces a translation, the rank
-    zero case.
+    The real matrix is the fractional-linear transform of a rank c^2*(d/s)
+    transform with twists n_src = -c*e and n_tgt = a*c.  Each of the three
+    is c times one of c, e, a, so negating the quintuple, whichever sign its
+    normal form picked, leaves them unchanged; c == 0 (a translation) gives
+    the rank-zero datum (0, 0, 0).
     """
-    a, b, c, e = image.a, image.b, image.c, image.e
-    if c == 0:
-        return (0, 0, 0)
-    if c < 0:
-        a, b, c, e = -a, -b, -c, -e
-    return (c * c * (image.d // image.s), -c * e, a * c)
+    c = image.c
+    return (c * c * (image.d // image.s), -c * image.e, image.a * c)
 
 
 @dataclass(frozen=True)
@@ -144,14 +134,12 @@ def induced_transform(d: int, r: int) -> InducedTransform:
     With n the source twist and s = d/r, the image is the level-s element
     with quintuple (1, -(r + d*n)/r^2, 1, -n); the determinant identity
     holds automatically and the target twist is 1 because the universal
-    family restricts over a point to sheaves with vector (r, 1, s).
+    family restricts over a point to sheaves with vector (r, 1, s).  Were
+    r^2 not to divide r + d*n, with remainder rem, the floored quotient
+    would give determinant 1 - rem/r != 1, and ALElement would refuse it.
     """
     n = source_twist(d, r)
-    s = d // r
-    k, rem = divmod(r + d * n, r * r)
-    if rem:
-        raise InternalClosureViolation("source twist failed to clear r^2")
-    image = ALElement(d, s, 1, -k, 1, -n)
+    image = ALElement(d, d // r, 1, -((r + d * n) // (r * r)), 1, -n)
     return InducedTransform(partner_label(d, r), partner_label(d, 1), image, r, n, 1)
 
 

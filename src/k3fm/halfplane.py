@@ -157,17 +157,16 @@ def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:
     a rank-nonzero transform.
 
     The source-side vector is (r, n, s) = (rank, n_src, d*n_src^2/rank) and
-    likewise on the target side; isotropy makes s an integer on both sides.
-    Each vector's central charge <exp(z*L), r + n*L + s> is
-    2*d*z*n - s - d*z^2*r.
+    likewise on the target side.  InducedTransform ties (rank, n_src, n_tgt)
+    to the image's (c^2*(d/s), -c*e, a*c), so the two third entries are the
+    integers e^2*s and a^2*s of the image's level s.  Each vector's central
+    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.
     """
     if t.rank == 0:
         raise ZeroRank("rank-zero transforms have no charge product")
     d = t.image.d
-    s_src, rem_src = divmod(d * t.n_src * t.n_src, t.rank)
-    s_tgt, rem_tgt = divmod(d * t.n_tgt * t.n_tgt, t.rank)
-    if rem_src or rem_tgt:
-        raise ValueError("twist data do not form isotropic vectors")
+    s_src = d * t.n_src * t.n_src // t.rank
+    s_tgt = d * t.n_tgt * t.n_tgt // t.rank
     r, z1, z2 = t.rank, z.z, mobius(t.image, z).z
     prod = ((2 * d * z1 * t.n_src - s_src - d * z1 * z1 * r)
             * (2 * d * z2 * t.n_tgt - s_tgt - d * z2 * z2 * r))

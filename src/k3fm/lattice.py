@@ -38,9 +38,8 @@ Matrix = tuple[tuple[Exact, Exact, Exact], ...]
 
 
 def _as_exact(x) -> Exact:
-    """Coerce to int or Fraction; floats are refused, exactness is the point."""
-    if isinstance(x, int):
-        return x
+    """Coerce a non-int to int or Fraction; floats are refused, exactness is
+    the point."""
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"expected an exact number, got {type(x).__name__}")

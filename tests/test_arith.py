@@ -173,6 +173,10 @@ def test_factorization_invariants_enforced():
         Factorization(12, ((3, 1), (2, 2)))  # unsorted
     with pytest.raises(ValueError):
         Factorization(12, ((2, 1), (3, 1)))  # wrong product
+    with pytest.raises(ValueError):
+        Factorization(0, ())  # n not positive
+    with pytest.raises(ValueError):
+        Factorization("6", ((2, 1), (3, 1)))  # n not an int
 
 
 FIRST_16_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -283,6 +287,8 @@ def test_exact_divisor_count_formula():
 def test_star_examples():
     assert star(1, 7) == 7
     assert star(2, 6) == 3  # 12 / gcd(2,6)^2
+    with pytest.raises(ValueError):
+        star(0, 3)
     for d in (1, 2, 6, 12, 30, 210):
         for s in exact_divisor_values(d):
             assert star(s, s) == 1

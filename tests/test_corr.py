@@ -113,6 +113,12 @@ def test_check_sample_clean_and_corrupted():
     assert check_sample(w) == ()
     corrupted = IsometryN(6, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     assert check_sample(w, corrupted) != ()
+    # a genuine lift of another coset element: integral, Gram- and
+    # orientation-preserving, but it descends to the level-6 element and
+    # acts on the discriminant group by a sign, which the lift of the
+    # non-Fricke level-2 element must not
+    assert check_sample(w, represent(base_element(6, 6))) == (
+        "round_trip", "fricke_criterion")
 
 
 def test_check_sample_names_each_failed_check():

@@ -5,7 +5,7 @@ import pytest
 
 from k3fm.arith import exact_divisor_values, factorize
 from k3fm.corr import descend, represent
-from k3fm.errors import EndpointMismatch, InvalidLevel
+from k3fm.errors import EndpointMismatch, InvalidLevel, LevelMismatch
 from k3fm.fmcalc import (
     InducedTransform,
     PartnerLabel,
@@ -16,7 +16,14 @@ from k3fm.fmcalc import (
     partner_label,
     source_twist,
 )
-from k3fm.modgroup import al_identity, fricke_coset_count, is_fricke, translation
+from k3fm.modgroup import (
+    al_identity,
+    al_inverse,
+    base_element,
+    fricke_coset_count,
+    is_fricke,
+    translation,
+)
 
 
 def brute_partner_classes(d):
@@ -185,3 +192,15 @@ def test_transform_validation():
         InducedTransform(t.target, t.target, t.image, t.rank, t.n_src, t.n_tgt)
     with pytest.raises(ValueError):
         InducedTransform(t.source, t.target, t.image, t.rank + 1, t.n_src, t.n_tgt)
+    with pytest.raises(LevelMismatch):
+        InducedTransform(partner_label(30, 1), partner_label(30, 5), t.image,
+                         t.rank, t.n_src, t.n_tgt)
+    # The inverse of the level-2 base element keeps its normal form with
+    # c = -1: the rank/twist data are the same for (a, b, c, e) and its
+    # negation, so (3, 2, -1) is accepted there and a wrong n_tgt is not.
+    image = al_inverse(base_element(6, 2))
+    assert image.c < 0
+    source, target = partner_label(6, 1), partner_label(6, 2)
+    InducedTransform(source, target, image, 3, 2, -1)
+    with pytest.raises(ValueError):
+        InducedTransform(source, target, image, 3, 2, 0)

@@ -7,7 +7,7 @@ import oracles
 from k3fm.arith import exact_divisor_values
 from k3fm.corr import represent
 from k3fm.errors import LevelMismatch, NotInUpperHalfPlane, NumericalPole, ZeroRank
-from k3fm.fmcalc import induced_transform
+from k3fm.fmcalc import InducedTransform, induced_transform, partner_label
 from k3fm.halfplane import (
     HalfPlanePoint,
     charge_product_defect,
@@ -142,6 +142,10 @@ def test_charge_product_identity():
             t = induced_transform(d, r)
             for _ in range(20):
                 assert charge_product_defect(t, random_point(rng)) < PIPELINE_TOL
+    lab = partner_label(6, 1)
+    with pytest.raises(ZeroRank):
+        charge_product_defect(InducedTransform(lab, lab, translation(6, 3), 0, 0, 0),
+                              HalfPlanePoint(0.0, 1.0))
 
 
 def test_equivariance_defect():

@@ -57,6 +57,8 @@ def test_from_tuple_examples():
     assert w.s == 1
     with pytest.raises(InvalidDeterminant):
         ALElement(6, 1, 1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        ALElement(6, 2, 2.0, 1, 1, 1)
 
 
 def test_sign_normalization():
@@ -213,6 +215,8 @@ def test_json_round_trip():
         al_from_json({"d": "6", "s": "2"})
     with pytest.raises(ValueError):
         al_from_json({"d": "6", "s": "2", "abce": ["1", "x", "1", "1"]})
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        al_from_json([1, 2])
 
 
 def test_json_refuses_floats_bools_and_loose_strings():

@@ -1,7 +1,8 @@
 """The public names: every `__all__` entry exists, every name the package
 re-exports is in the `__all__` of the module that defines it, every
-function the benchmark tracer wraps is still there to wrap, and no module
-imports a name it neither reads nor exports."""
+function the benchmark tracer wraps is still there to wrap, no module
+imports a name it neither reads nor exports, and no f-string lacks a
+placeholder."""
 
 import ast
 import importlib
@@ -71,3 +72,20 @@ def test_no_unused_imports():
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused = imported - read - exported
         assert not unused, (path.name, sorted(unused))
+
+
+def test_no_f_string_without_placeholder():
+    """No f-string in the package lacks a `{}` field (pyflakes F541): the
+    prefix on a plain string suggests a value that is never put in.  A
+    format spec such as the `>10` of `f"{x:>10}"` parses as a nested f-string
+    of its own and is not counted."""
+    src = Path(k3fm.__file__).resolve().parent
+    bare = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        specs = {id(n.format_spec) for n in ast.walk(tree)
+                 if isinstance(n, ast.FormattedValue) and n.format_spec is not None}
+        bare += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                 if isinstance(n, ast.JoinedStr) and id(n) not in specs
+                 and not any(isinstance(v, ast.FormattedValue) for v in n.values)]
+    assert not bare, bare
