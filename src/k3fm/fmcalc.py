@@ -3,17 +3,17 @@ derived-partner census, the canonical moduli-space transforms, and their
 groupoid composition law.
 
 Partners are labelled by classes {r, d/r} of exact divisors; the numerical
-shadow of a transform between partners is its Atkin-Lehner image together
-with the rank and twist data that determine its action on the upper half
-plane.  Actual derived categories are not representable here; the groupoid
-carries partner labels as objects and this is documented as the numerical
-shadow only.
+shadow of a transform between partners is its endpoint labels and its
+Atkin-Lehner image, which fixes the rank and twist data of its action on
+the upper half plane.  Actual derived categories are not representable
+here; the groupoid carries partner labels as objects and this is
+documented as the numerical shadow only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import exact_divisor_values, is_exact_divisor, mod_inverse, star
 from .errors import EndpointMismatch, InvalidLevel, LevelMismatch
@@ -87,44 +87,36 @@ def source_twist(d: int, r: int) -> int:
     return (-mod_inverse(d // r, r)) % r
 
 
-def _params_from_image(image: ALElement) -> tuple[int, int, int]:
-    """(rank, n_src, n_tgt) read off a coset element.
-
-    The real matrix is the fractional-linear transform of a rank c^2*(d/s)
-    transform with twists n_src = -c*e and n_tgt = a*c.  Each of the three
-    is c times one of c, e, a, so negating the quintuple, whichever sign its
-    normal form picked, leaves them unchanged; c == 0 (a translation) gives
-    the rank-zero datum (0, 0, 0).
-    """
-    c = image.c
-    return (c * c * (image.d // image.s), -c * image.e, image.a * c)
-
-
 @dataclass(frozen=True)
 class InducedTransform:
     """Numerical shadow of a transform between derived partners: endpoint
-    labels, the Atkin-Lehner image, and the rank/twist data (a single rank
-    field, source and target ranks always agree)."""
+    labels and the Atkin-Lehner image.  Construction reads off the image the
+    rank c^2*(d/s) (one rank field: source and target ranks agree) and the
+    twists n_src = -c*e and n_tgt = a*c of its fractional-linear action.
+    Each is c times one of c, e, a, so either sign of the quintuple gives
+    the same data; c == 0 (a translation) gives the rank-zero (0, 0, 0).
+    """
 
     source: PartnerLabel
     target: PartnerLabel
     image: ALElement
-    rank: int
-    n_src: int
-    n_tgt: int
+    rank: int = field(init=False, compare=False)
+    n_src: int = field(init=False, compare=False)
+    n_tgt: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        d = self.image.d
+        d, s, c = self.image.d, self.image.s, self.image.c
         if self.source.d != d or self.target.d != d:
             raise LevelMismatch("endpoints and image must share the level d")
         u = star(self.source.r, self.target.r)
-        if self.image.s not in (u, d // u):
+        if s not in (u, d // u):
             raise EndpointMismatch(
-                f"coset level {self.image.s} inconsistent with endpoints "
+                f"coset level {s} inconsistent with endpoints "
                 f"{self.source.moduli} -> {self.target.moduli}"
             )
-        if (self.rank, self.n_src, self.n_tgt) != _params_from_image(self.image):
-            raise ValueError("rank/twist data inconsistent with the image matrix")
+        object.__setattr__(self, "rank", c * c * (d // s))
+        object.__setattr__(self, "n_src", -c * self.image.e)
+        object.__setattr__(self, "n_tgt", self.image.a * c)
 
 
 def induced_transform(d: int, r: int) -> InducedTransform:
@@ -140,24 +132,18 @@ def induced_transform(d: int, r: int) -> InducedTransform:
     """
     n = source_twist(d, r)
     image = ALElement(d, d // r, 1, -((r + d * n) // (r * r)), 1, -n)
-    return InducedTransform(partner_label(d, r), partner_label(d, 1), image, r, n, 1)
+    return InducedTransform(partner_label(d, r), partner_label(d, 1), image)
 
 
 def compose(t1: InducedTransform, t2: InducedTransform) -> InducedTransform:
     """t1 after t2; endpoints must chain (t2.source -> t2.target == t1.source
-    -> t1.target) and the rank/twist data are re-derived from the product."""
-    if t1.image.d != t2.image.d:
-        raise EndpointMismatch("cannot compose transforms at different levels")
+    -> t1.target), which also rules out transforms at different levels."""
     if t1.source != t2.target:
         raise EndpointMismatch(
             f"cannot compose: {t2.target.moduli} != {t1.source.moduli}"
         )
-    image = al_mul(t1.image, t2.image)
-    rank, n_src, n_tgt = _params_from_image(image)
-    return InducedTransform(t2.source, t1.target, image, rank, n_src, n_tgt)
+    return InducedTransform(t2.source, t1.target, al_mul(t1.image, t2.image))
 
 
 def invert(t: InducedTransform) -> InducedTransform:
-    image = al_inverse(t.image)
-    rank, n_src, n_tgt = _params_from_image(image)
-    return InducedTransform(t.target, t.source, image, rank, n_src, n_tgt)
+    return InducedTransform(t.target, t.source, al_inverse(t.image))

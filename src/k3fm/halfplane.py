@@ -157,8 +157,8 @@ def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:
     a rank-nonzero transform.
 
     The source-side vector is (r, n, s) = (rank, n_src, d*n_src^2/rank) and
-    likewise on the target side.  InducedTransform ties (rank, n_src, n_tgt)
-    to the image's (c^2*(d/s), -c*e, a*c), so the two third entries are the
+    likewise on the target side.  InducedTransform reads (rank, n_src, n_tgt)
+    off the image as (c^2*(d/s), -c*e, a*c), so the two third entries are the
     integers e^2*s and a^2*s of the image's level s.  Each vector's central
     charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.
     """

@@ -108,15 +108,19 @@ def al_mul(w1: ALElement, w2: ALElement) -> ALElement:
     p21 = w1.c * d * w2.a * s2 + w1.e * s1 * w2.c * d
     p22 = w1.c * d * w2.b + w1.e * s1 * w2.e * s2
     g = math.gcd(s1, s2)
-    t = s1 * s2 // (g * g)
+    return _read_back(d, s1 * s2 // (g * g), g, p11, p12, p21, p22)
+
+
+def _read_back(d: int, t: int, g: int, p11: int, p12: int, p21: int,
+               p22: int) -> ALElement:
+    """The level-t element whose pattern [[a*t, b], [c*d, e*t]] is the
+    integer matrix [[p11, p12], [p21, p22]] divided by g."""
     a, ra = divmod(p11, g * t)
     b, rb = divmod(p12, g)
     c, rc = divmod(p21, g * d)
     e, re = divmod(p22, g * t)
     if ra or rb or rc or re:
-        raise InternalClosureViolation(
-            f"coset closure failed for levels ({s1},{s2}) at d={d}"
-        )
+        raise InternalClosureViolation(f"coset closure failed for W_{t} at d={d}")
     return ALElement(d, t, a, b, c, e)
 
 
@@ -219,7 +223,7 @@ def random_al(d: int, s: int, rng: random.Random, bound: int = 10) -> ALElement:
     independent Gamma0(d) factors on both sides.
 
     The product left * [[a*s, b], [c*d, e*s]] * right is formed in integers
-    and read back as al_mul reads its product; sign normalization is
+    and read back by al_mul's helper with g = 1; sign normalization is
     projective, so one validated element at the end gives al_mul's result.
     """
     w = base_element(d, s)
@@ -232,12 +236,8 @@ def random_al(d: int, s: int, rng: random.Random, bound: int = 10) -> ALElement:
     m21 = cd0 * a2 + e0 * cd2
     m22 = cd0 * b2 + e0 * e2
     cd1 = c1 * d
-    a, ra = divmod(a1 * m11 + b1 * m21, s)
-    c, rc = divmod(cd1 * m11 + e1 * m21, d)
-    e, re = divmod(cd1 * m12 + e1 * m22, s)
-    if ra or rc or re:
-        raise InternalClosureViolation(f"coset closure failed for W_{s} at d={d}")
-    return ALElement(d, s, a, a1 * m12 + b1 * m22, c, e)
+    return _read_back(d, s, 1, a1 * m11 + b1 * m21, a1 * m12 + b1 * m22,
+                      cd1 * m11 + e1 * m21, cd1 * m12 + e1 * m22)
 
 
 def al_to_json(w: ALElement) -> dict:

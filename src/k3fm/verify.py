@@ -53,6 +53,11 @@ class VerifyConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("d_min", "d_max", "samples_per_coset", "seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if type(self.tolerance) not in (int, float):  # a bool is refused too
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if (problem := _range_problem(self.d_min, self.d_max)) is not None:
             raise ValueError(problem)
         if self.samples_per_coset < 1:

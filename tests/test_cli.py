@@ -359,6 +359,11 @@ def test_run_verify_api():
 @pytest.mark.parametrize("kwargs", [
     {"samples_per_coset": 0}, {"d_min": 3, "d_max": 1}, {"d_min": 0},
     {"tolerance": float("nan")}, {"tolerance": 0.0}, {"tolerance": float("inf")},
+    # wrong field types: a bool, float or str is refused, not echoed back
+    {"d_min": True, "d_max": 2, "samples_per_coset": 1}, {"d_max": 2.0},
+    {"d_min": 1.5}, {"samples_per_coset": 2.5}, {"samples_per_coset": True},
+    {"seed": 1.5}, {"seed": "x"}, {"seed": True},
+    {"tolerance": True}, {"tolerance": "1e-9"}, {"tolerance": 1e-9 + 0j},
 ])
 def test_verify_config_refuses_configs_that_check_nothing(kwargs):
     with pytest.raises(ValueError):

@@ -117,12 +117,13 @@ def test_induced_transform_examples():
 
 
 def test_induced_transform_endpoints_and_rank():
-    for d in (1, 2, 6, 12, 30, 210):
+    for d in range(1, 201):
         for r in exact_divisor_values(d):
             t = induced_transform(d, r)
             assert t.source == partner_label(d, r)
             assert t.target == partner_label(d, 1)
             assert t.rank == r and t.n_tgt == 1
+            assert t.n_src == source_twist(d, r)
             assert t.image.s == d // r
 
 
@@ -152,7 +153,7 @@ def test_same_partner_agrees_with_endpoints():
 def test_compose_identity_and_levels():
     t = induced_transform(6, 2)
     lab = partner_label(6, 2)
-    ident = InducedTransform(lab, lab, translation(6, 0), 0, 0, 0)
+    ident = InducedTransform(lab, lab, translation(6, 0))
     assert compose(t, ident) == t
     # distinct W_2 and W_3 images compose to the Fricke coset W_6
     t2 = induced_transform(6, 3)  # image level 2
@@ -166,7 +167,7 @@ def test_compose_endpoint_mismatch():
         compose(t, t)  # target of t is X, source is the r=2 partner
     with pytest.raises(EndpointMismatch):
         lab = partner_label(30, 1)
-        compose(t, InducedTransform(lab, lab, translation(30, 1), 0, 0, 0))
+        compose(t, InducedTransform(lab, lab, translation(30, 1)))
 
 
 def test_invert_swaps_twists():
@@ -180,7 +181,7 @@ def test_invert_swaps_twists():
 
 def test_translation_transform():
     lab = partner_label(6, 1)
-    t = InducedTransform(lab, lab, translation(6, 3), 0, 0, 0)
+    t = InducedTransform(lab, lab, translation(6, 3))
     assert t.rank == 0 and t.source == t.target
     assert (t.image.a, t.image.b, t.image.c, t.image.e) == (1, 3, 0, 1)
     assert is_fricke(t.image)
@@ -189,18 +190,13 @@ def test_translation_transform():
 def test_transform_validation():
     t = induced_transform(6, 2)
     with pytest.raises(EndpointMismatch):
-        InducedTransform(t.target, t.target, t.image, t.rank, t.n_src, t.n_tgt)
-    with pytest.raises(ValueError):
-        InducedTransform(t.source, t.target, t.image, t.rank + 1, t.n_src, t.n_tgt)
+        InducedTransform(t.target, t.target, t.image)
     with pytest.raises(LevelMismatch):
-        InducedTransform(partner_label(30, 1), partner_label(30, 5), t.image,
-                         t.rank, t.n_src, t.n_tgt)
+        InducedTransform(partner_label(30, 1), partner_label(30, 5), t.image)
     # The inverse of the level-2 base element keeps its normal form with
     # c = -1: the rank/twist data are the same for (a, b, c, e) and its
-    # negation, so (3, 2, -1) is accepted there and a wrong n_tgt is not.
+    # negation, so the image gives (3, 2, -1) whichever sign it stores.
     image = al_inverse(base_element(6, 2))
     assert image.c < 0
-    source, target = partner_label(6, 1), partner_label(6, 2)
-    InducedTransform(source, target, image, 3, 2, -1)
-    with pytest.raises(ValueError):
-        InducedTransform(source, target, image, 3, 2, 0)
+    t = InducedTransform(partner_label(6, 1), partner_label(6, 2), image)
+    assert (t.rank, t.n_src, t.n_tgt) == (3, 2, -1)

@@ -144,7 +144,7 @@ def test_charge_product_identity():
                 assert charge_product_defect(t, random_point(rng)) < PIPELINE_TOL
     lab = partner_label(6, 1)
     with pytest.raises(ZeroRank):
-        charge_product_defect(InducedTransform(lab, lab, translation(6, 3), 0, 0, 0),
+        charge_product_defect(InducedTransform(lab, lab, translation(6, 3)),
                               HalfPlanePoint(0.0, 1.0))
 
 

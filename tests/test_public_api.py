@@ -1,13 +1,14 @@
 """The public names: every `__all__` entry exists, every name the package
 re-exports is in the `__all__` of the module that defines it, every
 function the benchmark tracer wraps is still there to wrap, no module
-imports a name it neither reads nor exports, and no f-string lacks a
-placeholder."""
+imports a name it neither reads nor exports, no private module-level name
+goes unread, and no f-string lacks a placeholder."""
 
 import ast
 import importlib
 import pkgutil
 import types
+from collections import Counter
 from pathlib import Path
 
 import k3fm
@@ -72,6 +73,45 @@ def test_no_unused_imports():
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused = imported - read - exported
         assert not unused, (path.name, sorted(unused))
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each identifier is read under `node`: as a name, as an
+    attribute, or as a name imported from another module."""
+    reads = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            reads.update(a.name for a in n.names)
+    return reads
+
+
+def test_no_unused_private_names():
+    """Every module-level private name in the package (a `_def`, `_class`
+    or `_NAME =`) is read somewhere in the package source outside its own
+    definition: a stdlib stand-in for vulture's unused-code check."""
+    src = Path(k3fm.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            unused += [name for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and reads[name] - own[name] < 1]
+    assert not unused, unused
 
 
 def test_no_f_string_without_placeholder():
