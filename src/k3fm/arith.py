@@ -97,51 +97,36 @@ def _primes_below(n: int) -> tuple[int, ...]:
 _TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 
-# One partners call or verify level asks for the same d from several
-# layers, and factorize_window hands each table row its factorization
-# ahead of the row: the memo makes each of those one factorization.  It
-# keeps the last _MEMO_SIZE results, keyed by plain ints only.
+# Callers that hold a level's Factorization read its facts off it; the
+# int-keyed lookups that follow it (fricke_coset_count(d),
+# verify_correspondence(d), exact_divisor_values(d)) find it here, since
+# factorize and factorize_window put each result in.  It keeps the last
+# _MEMO_SIZE results, keyed by plain ints only.
 _MEMO_SIZE = 32
 _memo: dict[int, Factorization] = {}
 
 
 def factorize(n: int) -> Factorization:
-    """Exact factorization of 1 <= n < FACTORIZE_BOUND.  Trial division by
-    the primes below _TRIAL_LIMIT; a cofactor that may still be composite
-    is split by a deterministic Miller-Rabin test and Pollard-Brent rho.
-    Below _TRIAL_LIMIT**2 only trial division runs."""
-    if not isinstance(n, int) or n < 1:
+    """Exact factorization of 1 <= n < FACTORIZE_BOUND: the memoized result,
+    or the one-level window factorize_window(n, n).  A bool is answered as
+    the plain int it equals (True == 1 with the same hash), and the window
+    stores the plain int, so a bool never stands in the memo for 1."""
+    if not isinstance(n, int):  # a float would reach range() as a TypeError
         raise ValueError("factorize requires a positive integer")
-    if n >= FACTORIZE_BOUND:
-        raise ValueError(f"factorize requires n < 2**64, got {n}")
-    # True == 1 with the same hash: a bool is looked up and answered as
-    # the plain int, so it never stands in the memo for 1.
-    n = int(n)
     if (hit := _memo.get(n)) is not None:
         return hit
-    m = n
-    out: list[tuple[int, int]] = []
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out.append((p, k))
-    return _finish(n, out, m)
+    return next(factorize_window(n, n))
 
 
 def factorize_window(d_min: int, d_max: int) -> Iterator[Factorization]:
     """factorize(d) for d = d_min, ..., d_max in order, from one
     trial-division pass over the window: each prime below _TRIAL_LIMIT up
-    to sqrt(d_max) strides over its multiples there.  The pass runs on the
-    call; each factorization is finished, and put in factorize's memo, as
-    the iterator reaches it."""
-    if not 1 <= d_min <= d_max < FACTORIZE_BOUND:
-        raise ValueError(f"factorize_window requires 1 <= d_min <= d_max < 2**64, "
-                         f"got [{d_min}, {d_max}]")
+    to sqrt(d_max) strides over its multiples there.  A cofactor that may
+    still be composite is split by a deterministic Miller-Rabin test and
+    Pollard-Brent rho.  The pass runs on the call; each factorization is
+    finished, and put in factorize's memo, as the iterator reaches it."""
+    if (problem := _range_problem(d_min, d_max)) is not None:
+        raise ValueError(problem)
     rest = list(range(d_min, d_max + 1))
     found: list[list[tuple[int, int]]] = [[] for _ in rest]
     for p in _TRIAL_PRIMES:
@@ -235,8 +220,9 @@ def is_exact_divisor(s: int, d: int) -> bool:
 
 def exact_divisor_values(d: int) -> tuple[int, ...]:
     """All s with s || d, ascending; there are 2**omega(d) of them.  They
-    are factorize(d).divisors, so factorize's memo serves every layer and
-    factorize refuses what is not a positive integer below 2**64."""
+    are factorize(d).divisors: a lookup by d that follows the caller's own
+    factorization is a memo hit, and factorize refuses what is not a
+    positive integer below 2**64."""
     return factorize(d).divisors
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import exact_divisor_values, is_exact_divisor, mod_inverse, star
+from .arith import Factorization, factorize, is_exact_divisor, mod_inverse, star
 from .errors import EndpointMismatch, InvalidLevel, LevelMismatch
 from .modgroup import ALElement, al_inverse, al_mul
 
@@ -64,18 +64,20 @@ def partner_label(d: int, r: int) -> PartnerLabel:
     return PartnerLabel(d, min(r, d // r))
 
 
-def partner_representatives(d: int) -> list[int]:
-    """The representative r <= d/r of each partner class {r, d/r},
-    ascending: exactly one of r and d/r is at most sqrt(d) (they are equal
-    only at d = 1), so keeping the exact divisors with r*r <= d folds the
-    pairs, and the ascending divisor list keeps them in order."""
-    return [r for r in exact_divisor_values(d) if r * r <= d]
+def partner_representatives(level: Factorization) -> list[int]:
+    """The representative r <= d/r of each partner class {r, d/r} of the
+    level d = level.n, ascending: exactly one of r and d/r is at most
+    sqrt(d) (they are equal only at d = 1), so keeping the exact divisors
+    with r*r <= d folds the pairs, and the ascending divisor list keeps them
+    in order.  The caller passes the factorization it already holds."""
+    d = level.n
+    return [r for r in level.divisors if r * r <= d]
 
 
 def partner_census(d: int) -> tuple[PartnerLabel, ...]:
     """One label per class {r, d/r}, in ascending order of r; the number of
     labels is the Fourier-Mukai number of the degree-2d surface."""
-    return tuple(PartnerLabel(d, r) for r in partner_representatives(d))
+    return tuple(PartnerLabel(d, r) for r in partner_representatives(factorize(d)))
 
 
 def source_twist(d: int, r: int) -> int:

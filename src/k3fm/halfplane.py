@@ -124,11 +124,10 @@ def equivariance_defect(
     d = w.d
     if g.d != d:
         raise LevelMismatch("matrix level does not match the element")
-    # Straight-line form of x = g * embed(z) and y = embed(mobius(w, z)),
-    # with the same complex operations in the same order (each row sum
-    # starts from the int 0 as sum() does) and the final sum still left to
-    # sum(), whose float rounding varies by Python version: every float
-    # matches the row-sum-of-generators form this replaces.
+    # Straight-line form of x = g * embed(z) and y = embed(mobius(w, z)):
+    # each row sum starts from the int 0 and every sum runs left to right,
+    # so no float follows the running Python's sum(), which compensates
+    # from 3.12 on.
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g.m
     g00, g01, g02 = float(g00), float(g01), float(g02)
     g10, g11, g12 = float(g10), float(g11), float(g12)
@@ -148,8 +147,8 @@ def equivariance_defect(
         xj, yj = (x2, y2) if k2 > k0 else (x0, one)
     if abs(xj) < _TINY or abs(yj) < _TINY:
         raise NumericalPole("projectivization degenerated")
-    return math.sqrt(sum((abs(x0 / xj - one / yj) ** 2, abs(x1 / xj - y1 / yj) ** 2,
-                          abs(x2 / xj - y2 / yj) ** 2)))
+    return math.sqrt(abs(x0 / xj - one / yj) ** 2 + abs(x1 / xj - y1 / yj) ** 2
+                     + abs(x2 / xj - y2 / yj) ** 2)
 
 
 def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:

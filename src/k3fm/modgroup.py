@@ -135,7 +135,9 @@ def is_fricke(w: ALElement) -> bool:
 
 def fricke_coset_count(d: int) -> int:
     """Number of cosets of Fr_d in AL_d, i.e. of classes {s, d/s}: by
-    Lagrange, |AL_d/Gamma0(d)| = 2**omega(d) over |Fr_d/Gamma0(d)| = |{1, d}|."""
+    Lagrange, |AL_d/Gamma0(d)| = 2**omega(d) over |Fr_d/Gamma0(d)| = |{1, d}|.
+    It takes d, not a caller's Factorization, so the census checks the
+    partner count against a second computation."""
     return len(exact_divisor_values(d)) // len({1, d})
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import _range_problem, exact_divisor_values, factorize
+from .arith import Factorization, _range_problem, factorize
 from .corr import descend, represent, verify_correspondence
 from .fmcalc import induced_transform, partner_representatives
 from .halfplane import (
@@ -88,16 +88,19 @@ def _sample_point(rng: random.Random) -> HalfPlanePoint:
     return HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
 
 
-def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
+def _verify_level(level: Factorization, config: VerifyConfig,
+                  rng: random.Random) -> dict:
+    # verify_correspondence (acceptance criterion 3 calls it by d) and
+    # fricke_coset_count (the census's second computation) keep their int
+    # argument; both find level in factorize's memo.
+    d, divisors = level.n, level.divisors
     sampled = verify_correspondence(d, config.samples_per_coset, rng)
 
-    fm_number = len(partner_representatives(d))
-    omega = factorize(d).omega
-    formula = 1 if d == 1 else 2 ** (omega - 1)
+    fm_number = len(partner_representatives(level))
+    formula = 1 if d == 1 else 2 ** (level.omega - 1)
     coset_count = fricke_coset_count(d)
     census_ok = fm_number == coset_count == formula
 
-    divisors = exact_divisor_values(d)
     built = [induced_transform(d, r) for r in divisors]
     transforms = []
     for r, t in zip(divisors, built):
@@ -153,9 +156,8 @@ def _verify_level(d: int, config: VerifyConfig, rng: random.Random) -> dict:
 def run_verify(config: VerifyConfig) -> tuple[dict, int]:
     """Run the whole pipeline; deterministic for a fixed config."""
     rng = random.Random(config.seed)
-    levels = [
-        _verify_level(d, config, rng) for d in range(config.d_min, config.d_max + 1)
-    ]
+    levels = [_verify_level(factorize(d), config, rng)
+              for d in range(config.d_min, config.d_max + 1)]
     total = sum(level["failures"] for level in levels)
     report = {
         "config": {key: value if key == "tolerance" else str(value)

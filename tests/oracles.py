@@ -41,16 +41,19 @@ def neg(a):
 
 
 def equivariance_defect(w, z, g):
-    """halfplane.equivariance_defect in its row-sum-of-generators form: the
-    lift g acts on embed(z) = (1, z, d*z^2) by generator sums, the best
-    coordinate is picked by max, and the distance is a generator sum.  The
-    library's straight-line form must give the same float, bit for bit."""
+    """halfplane.equivariance_defect in its row-by-row form: the lift g
+    acts on embed(z) = (1, z, d*z^2) row by row, the best coordinate is
+    picked by max, and the distance sums three squares.  Every sum is
+    written out left to right (a row from the int 0), so the reference does
+    not follow the running Python's sum().  The library's straight-line
+    form must give the same float, bit for bit."""
     gm = tuple(tuple(float(x) for x in row) for row in g.m)
     zz, zm = z.z, mobius(w, z).z
     tv = (complex(1.0), zz, w.d * zz * zz)
-    x = tuple(sum(gm[i][k] * tv[k] for k in range(3)) for i in range(3))
+    x = tuple(0 + row[0] * tv[0] + row[1] * tv[1] + row[2] * tv[2] for row in gm)
     y = (complex(1.0), zm, w.d * zm * zm)
     j = max(range(3), key=lambda i: abs(x[i]) + abs(y[i]))
     if abs(x[j]) < 1e-300 or abs(y[j]) < 1e-300:
         raise NumericalPole("projectivization degenerated")
-    return math.sqrt(sum(abs(x[i] / x[j] - y[i] / y[j]) ** 2 for i in range(3)))
+    e = [abs(x[i] / x[j] - y[i] / y[j]) ** 2 for i in range(3)]
+    return math.sqrt(e[0] + e[1] + e[2])

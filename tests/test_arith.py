@@ -93,6 +93,13 @@ def test_factorize_agrees_with_trial_division_on_random_n():
     cases = [rng.randrange(1, 10**11) for _ in range(60)]
     cases += [rng.choice(primes) ** rng.randint(1, 2) * rng.choice(large) * rng.choice(large)
               for _ in range(200)]
+    # Prime powers and products of small primes, the shapes of partners
+    # requests: their cofactor is 1 long before the trial primes reach
+    # sqrt(n).
+    cases += rng.sample([p**k for p in primes if p < 2**12 for k in range(1, 40)
+                         if p**k < 2**40], 100)
+    cases += [math.prod(rng.sample([p for p in primes if p < 50], rng.randint(5, 8)))
+              for _ in range(100)]
     for n in cases:
         got = factorize(n).factors
         assert got == trial_factorize(n), n
@@ -148,6 +155,8 @@ WINDOWS = [(2**22 - 300, 2**22 + 300), (10**12, 10**12 + 300),
 
 
 def test_factorize_window_matches_factorize():
+    # factorize(d) is the one-level window, so this compares the strided
+    # pass over a window with the same pass one level at a time.
     # Consecutive windows of random width cover 1..200 000.  Each window's
     # per-d factorizations are taken first: the memo keeps only the last
     # few the window hands in, and the next window starts past them.

@@ -9,6 +9,7 @@ here as a digest or stderr mismatch.
 import hashlib
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -94,6 +95,12 @@ CASES = {
     'verify-9699690-json': (
         'verify --d-min 9699690 --d-max 9699690 --samples 2 --seed 3 --format json', None, 1, '',
         'a0c75bd708ab85cdbbcb94904f00dd7cd04212cc642a030159c468514ff81cfc'),
+    # One level whose three-term equivariance sums round differently under
+    # a compensated float sum(); test_verify_bytes_do_not_follow_sum runs it
+    # with one.
+    'verify-52-json': (
+        'verify --d-min 52 --d-max 52 --samples 3', None, 0, '',
+        'dca1dba386bfc678c2ac78c4e908d63220bb912c7d05397d8290b70a88c8a71a'),
     'table-csv': (
         'table --d-min 1 --d-max 30 --format csv', None, 0, '',
         'a0fec094e6c64c0c5257660fa8d030e4643e139c9d652fa3e56062c3a2504ae2'),
@@ -296,3 +303,34 @@ def test_cli_golden_non_utf8_file(tmp_path, capsys, monkeypatch):
            "position 0: invalid start byte\n")
     assert _run(capsys, monkeypatch, f"classify --d 6 {path}", None) == (
         4, err, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855')
+
+
+def _compensated_sum(values, start=0):
+    """CPython 3.12's sum() of floats: the first float item switches to
+    Neumaier's compensated summation, and the compensation is added at the
+    end.  Only the float items a report's sums see are handled."""
+    values = iter(values)
+    total = start
+    for x in values:
+        total = total + x
+        if type(total) is float:
+            break
+    else:
+        return total
+    c = 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_verify_bytes_do_not_follow_sum(capsys, monkeypatch):
+    # The report is the same on every supported Python: shadowing sum() in
+    # the half-plane layer with 3.12's compensated one leaves its bytes.
+    assert (sum([1e16, 1.0, -1e16]), _compensated_sum([1e16, 1.0, -1e16])) == (0.0, 1.0)
+    monkeypatch.setattr("k3fm.halfplane.sum", _compensated_sum, raising=False)
+    argv, stdin, code, err, digest = CASES['verify-52-json']
+    assert _run(capsys, monkeypatch, argv, stdin) == (code, err, digest)
