@@ -121,16 +121,18 @@ def factorize(n: int) -> Factorization:
 def factorize_window(d_min: int, d_max: int) -> Iterator[Factorization]:
     """factorize(d) for d = d_min, ..., d_max in order, from one
     trial-division pass over the window: each prime below _TRIAL_LIMIT up
-    to sqrt(d_max) strides over its multiples there.  A cofactor that may
-    still be composite is split by a deterministic Miller-Rabin test and
+    to sqrt(d_max) strides over its multiples there, and a one-level window
+    stops once p*p passes its cofactor.  A cofactor that may still be
+    composite is split by a deterministic Miller-Rabin test and
     Pollard-Brent rho.  The pass runs on the call; each factorization is
     finished, and put in factorize's memo, as the iterator reaches it."""
     if (problem := _range_problem(d_min, d_max)) is not None:
         raise ValueError(problem)
     rest = list(range(d_min, d_max + 1))
     found: list[list[tuple[int, int]]] = [[] for _ in rest]
+    top = d_max
     for p in _TRIAL_PRIMES:
-        if p * p > d_max:
+        if p * p > top:
             break
         for i in range(-d_min % p, len(rest), p):
             m, k = rest[i] // p, 1
@@ -139,6 +141,8 @@ def factorize_window(d_min: int, d_max: int) -> Iterator[Factorization]:
                 k += 1
             rest[i] = m
             found[i].append((p, k))
+        if d_min == d_max:
+            top = rest[0]
     return map(_finish, range(d_min, d_max + 1), found, rest)
 
 

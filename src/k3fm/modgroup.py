@@ -18,7 +18,6 @@ stored sign is normalized so the first nonzero of (a, c, b, e) is positive.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import re
@@ -141,25 +140,26 @@ def fricke_coset_count(d: int) -> int:
     return len(exact_divisor_values(d)) // len({1, d})
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+def _base(d: int, s: int) -> tuple[int, int, int, int]:
+    """The integers (a, b, c, e) of base_element(d, s)."""
+    if not is_exact_divisor(s, d):
+        raise InvalidLevel(f"s={s} is not an exact divisor of d={d}")
+    if s == 1:
+        return 1, 0, 0, 1
+    t = d // s
+    if t == 1:
+        return 0, -1, 1, 0
+    a = mod_inverse(s, t)
+    return a, (a * s - 1) // t, 1, 1
+
+
 def base_element(d: int, s: int) -> ALElement:
     """A canonical element of W_s with small nonnegative entries.
 
     s=1 gives the identity and s=d the involution z -> -1/(dz); otherwise
     the entries come from the smallest solution of a*s - b*(d/s) = 1.
-    Memoized (elements are immutable): 256 entries hold every coset of a
-    level of omega 8, so a verify run's repeated draws at one level hit.
     """
-    if not is_exact_divisor(s, d):
-        raise InvalidLevel(f"s={s} is not an exact divisor of d={d}")
-    if s == 1:
-        return al_identity(d)
-    t = d // s
-    if t == 1:
-        return ALElement(d, s, 0, -1, 1, 0)
-    a = mod_inverse(s, t)
-    b = (a * s - 1) // t
-    return ALElement(d, s, a, b, 1, 1)
+    return ALElement(d, s, *_base(d, s))
 
 
 def _below(getrandbits, n: int, k: int) -> int:
@@ -171,32 +171,32 @@ def _below(getrandbits, n: int, k: int) -> int:
     return r
 
 
-def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int, int]:
+# _gamma0_draw's range: _N values in [-_SPAN, _SPAN], _K bits per draw.
+_SPAN = 10
+_N = 2 * _SPAN + 1
+_K = _N.bit_length()
+
+
+def _gamma0_draw(d: int, rng: random.Random) -> tuple[int, int, int, int]:
     """random_gamma0's draw as the integers (a, b, c, e) of [[a, b], [c*d, e]].
 
-    Samples the bottom-left multiplier c in [-bound, bound] and a coprime
-    top-left entry, completes to determinant one, then smears with random
-    translation powers on both sides.  Each uniform draw spends the same
-    generator bits as Random.randint would; the coprimality loop inlines
-    _below, since at 210 | d it rejects most rounds.
+    Samples the bottom-left multiplier c in [-10, 10] and a coprime top-left
+    entry in the same range, completes to determinant one, then smears with
+    random translation powers in that range on both sides.  Each uniform
+    draw spends the same generator bits as Random.randint would; the
+    coprimality loop inlines _below, since at 210 | d it rejects most rounds.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     getrandbits = rng.getrandbits
-    span = max(bound, 1)
-    n = 2 * bound + 1
-    n_a = 2 * span + 1
-    k, k_a = n.bit_length(), n_a.bit_length()
     gcd = math.gcd
     while True:
-        c = getrandbits(k)
-        while c >= n:
-            c = getrandbits(k)
-        a = getrandbits(k_a)
-        while a >= n_a:
-            a = getrandbits(k_a)
-        c -= bound
-        a -= span
+        c = getrandbits(_K)
+        while c >= _N:
+            c = getrandbits(_K)
+        a = getrandbits(_K)
+        while a >= _N:
+            a = getrandbits(_K)
+        c -= _SPAN
+        a -= _SPAN
         cd = c * d
         if gcd(a, cd) == 1:
             break
@@ -205,8 +205,8 @@ def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int,
     else:
         e = mod_inverse(a, abs(cd))
         b = (a * e - 1) // cd
-    j = _below(getrandbits, n, k) - bound
-    m = _below(getrandbits, n, k) - bound
+    j = _below(getrandbits, _N, _K) - _SPAN
+    m = _below(getrandbits, _N, _K) - _SPAN
     # translation(d, j) * [[a, b], [c*d, e]] * translation(d, m), multiplied out
     top = a + j * cd
     b, e = top * m + b + j * e, e + m * cd
@@ -215,12 +215,12 @@ def _gamma0_draw(d: int, rng: random.Random, bound: int) -> tuple[int, int, int,
     return top, b, c, e
 
 
-def random_gamma0(d: int, rng: random.Random, bound: int = 10) -> ALElement:
+def random_gamma0(d: int, rng: random.Random) -> ALElement:
     """Random element of W_1 = Gamma0(d); same seed gives the same element."""
-    return ALElement(d, 1, *_gamma0_draw(d, rng, bound))
+    return ALElement(d, 1, *_gamma0_draw(d, rng))
 
 
-def random_al(d: int, s: int, rng: random.Random, bound: int = 10) -> ALElement:
+def random_al(d: int, s: int, rng: random.Random) -> ALElement:
     """Random element of W_s: the base element conjugated into the coset by
     independent Gamma0(d) factors on both sides.
 
@@ -228,10 +228,10 @@ def random_al(d: int, s: int, rng: random.Random, bound: int = 10) -> ALElement:
     and read back by al_mul's helper with g = 1; sign normalization is
     projective, so one validated element at the end gives al_mul's result.
     """
-    w = base_element(d, s)
-    a1, b1, c1, e1 = _gamma0_draw(d, rng, bound)
-    a2, b2, c2, e2 = _gamma0_draw(d, rng, bound)
-    a0, b0, cd0, e0 = w.a * w.s, w.b, w.c * d, w.e * w.s
+    a, b, c, e = _base(d, s)
+    a1, b1, c1, e1 = _gamma0_draw(d, rng)
+    a2, b2, c2, e2 = _gamma0_draw(d, rng)
+    a0, b0, cd0, e0 = a * s, b, c * d, e * s
     cd2 = c2 * d
     m11 = a0 * a2 + b0 * cd2
     m12 = a0 * b2 + b0 * e2

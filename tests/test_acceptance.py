@@ -159,8 +159,8 @@ def test_criterion_6_homomorphism():
     for d in D_SET:
         values = exact_divisor_values(d)
         for _ in range(1000):
-            w1 = random_al(d, rng.choice(values), rng, bound=4)
-            w2 = random_al(d, rng.choice(values), rng, bound=4)
+            w1 = random_al(d, rng.choice(values), rng)
+            w2 = random_al(d, rng.choice(values), rng)
             if represent(al_mul(w1, w2)).m != mat_mul(represent(w1).m, represent(w2).m):
                 failures.append((d, w1, w2))
     _finish(6, "homomorphism of the lift", failures, started, budget=10.0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from k3fm import arith
 from k3fm.arith import (
     Factorization,
     exact_divisor_values,
@@ -155,8 +156,9 @@ WINDOWS = [(2**22 - 300, 2**22 + 300), (10**12, 10**12 + 300),
 
 
 def test_factorize_window_matches_factorize():
-    # factorize(d) is the one-level window, so this compares the strided
-    # pass over a window with the same pass one level at a time.
+    # factorize(d) is the one-level window, which stops once p*p passes its
+    # cofactor; a wider window strides on to sqrt(d_max).  This compares
+    # the two stopping rules.
     # Consecutive windows of random width cover 1..200 000.  Each window's
     # per-d factorizations are taken first: the memo keeps only the last
     # few the window hands in, and the next window starts past them.
@@ -169,6 +171,25 @@ def test_factorize_window_matches_factorize():
     for lo, hi in windows + WINDOWS:
         expected = [factorize(d) for d in range(lo, hi + 1)]
         assert list(factorize_window(lo, hi)) == expected, (lo, hi)
+
+
+def test_one_level_window_stops_at_the_square_root_of_its_cofactor(monkeypatch):
+    # 2**40 is 1 after the stride of 2, so the pass is done at the prime 3;
+    # striding on to sqrt(2**40) would take every trial prime below 2**11.
+    class Counting:
+        def __init__(self, primes):
+            self.primes, self.taken = primes, 0
+
+        def __iter__(self):
+            for p in self.primes:
+                self.taken += 1
+                yield p
+
+    primes = Counting(arith._TRIAL_PRIMES)
+    monkeypatch.setattr(arith, "_TRIAL_PRIMES", primes)
+    monkeypatch.setattr(arith, "_memo", {})
+    assert factorize(2**40).factors == ((2, 40),)
+    assert primes.taken <= 2
 
 
 def test_factorize_window_rejects_bad_ranges():

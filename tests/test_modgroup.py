@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,11 +25,11 @@ from k3fm.modgroup import (
 D_SET = (1, 2, 6, 12, 30)
 
 
-def random_elements(d, rng, count, bound=10):
+def random_elements(d, rng, count):
     out = []
     for _ in range(count):
         s = rng.choice(exact_divisor_values(d))
-        out.append(random_al(d, s, rng, bound))
+        out.append(random_al(d, s, rng))
     return out
 
 
@@ -155,13 +156,6 @@ def test_base_element():
     assert w.a * w.e * 2 - w.b * w.c * 3 == 1
     with pytest.raises(InvalidLevel):
         base_element(12, 2)
-
-
-def test_random_gamma0_zero_bound_is_translation():
-    rng = random.Random(6)
-    for d in D_SET:
-        w = random_gamma0(d, rng, bound=0)
-        assert (w.s, w.a, w.c, w.e) == (1, 1, 0, 1)
 
 
 def test_random_gamma0_validates_and_stays_level_one():
@@ -321,67 +315,24 @@ def test_random_al_pinned_draws():
         _check_random_al_pin(*key)
 
 
-# random_al draws at other bounds, recorded before the fused sampler: per
-# (d, bound, seed), 10 draws for each of the first 64 exact divisors in
+# random_al draws at the level of omega 15 below 2**64, recorded before the
+# fused sampler: 10 draws for each of its first 64 exact divisors in
 # ascending order, hashed as in RANDOM_AL_PINS, then the next 32 bits.
-# bound=0 draws only identity factors but still spends the generator;
-# 614889782588491410 is the level of omega 15 below 2**64.
-RANDOM_AL_BOUND_PINS = {
-    (6, 0, 48): ("4661ce1f91f315ab2229529a448a7539a9653ab0dc91a2a27fb7c58538338a39",
-                 683189560),
-    (6, 4, 49): ("790c36c0125504bc5f7bfcd3715adc4eb408453b924bb9dd65835f4c2973929b",
-                 2529402452),
-    (510510, 0, 50): ("971acf91ea0f0d3aba7f1d1ad5b2d5bf93f2b41bea526874894769b6c1abe279",
-                      953376580),
-    (510510, 4, 51): ("d25a38256557fe7788ebd6a69fad612486475cfa1e9886ae7ce3841324390768",
-                      1446291698),
-    (614889782588491410, 10, 52): (
-        "836583d0413ae21300f826a8b4125e3680ce3ba25303cccb837e7be75aaa0f82", 2079699785),
-}
+OMEGA_15_PIN = (614889782588491410, 52,
+                "836583d0413ae21300f826a8b4125e3680ce3ba25303cccb837e7be75aaa0f82",
+                2079699785)
 
 
-def _check_bound_pin(d, bound, seed):
-    digest, next_bits = RANDOM_AL_BOUND_PINS[d, bound, seed]
+def test_random_al_pinned_draws_at_omega_15():
+    d, seed, digest, next_bits = OMEGA_15_PIN
     rng = random.Random(seed)
-    got = [random_al(d, s, rng, bound) for s in exact_divisor_values(d)[:64] for _ in range(10)]
+    got = [random_al(d, s, rng) for s in exact_divisor_values(d)[:64] for _ in range(10)]
     text = "\n".join(f"{w.d} {w.s} {w.a} {w.b} {w.c} {w.e}" for w in got)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert rng.getrandbits(32) == next_bits
 
 
-@pytest.mark.parametrize("key", sorted(RANDOM_AL_BOUND_PINS))
-def test_random_al_pinned_draws_at_other_bounds(key):
-    _check_bound_pin(*key)
-
-
-def test_base_element_memo_is_bounded():
-    # 256 entries: every coset of a level of omega 8, so the second draw at
-    # each of them hits.  The omega-15 level has 32768 cosets; drawing at
-    # 1000 of them must evict, not grow, and evicted or cached base elements
-    # must leave every pinned stream as it was.
-    info = modgroup.base_element.cache_info
-    assert info().maxsize == 256
-    modgroup.base_element.cache_clear()
-    rng = random.Random(54)
-    for _ in range(2):
-        for s in exact_divisor_values(9699690):
-            random_al(9699690, s, rng)
-    assert info().hits >= 256 and info().currsize == 256
-    big = 614889782588491410
-    for s in exact_divisor_values(big)[:1000]:
-        random_al(big, s, rng)
-    assert info().currsize <= 256
-    for key in RANDOM_AL_PINS:
-        _check_random_al_pin(*key)
-    for key in RANDOM_AL_BOUND_PINS:
-        _check_bound_pin(*key)
-    assert info().currsize <= 256
-
-
-def test_base_element_memo_keys_by_type():
-    # A float level equal to a cached int one is still refused, as it was
-    # before the memo: 6.0 == 6 and hash alike, so only a typed key tells
-    # them apart.
+def test_base_element_refuses_a_float_level():
     assert base_element(6, 2) == ALElement(6, 2, 2, 1, 1, 1)
     with pytest.raises(TypeError):
         base_element(6.0, 2.0)
@@ -401,15 +352,6 @@ def test_sampler_draws_as_randrange(n):
             f"rejection loop; the sampler's streams would change with it")
 
 
-def test_negative_bound_refused_before_any_draw():
-    for sample in (lambda rng: random_al(6, 2, rng, bound=-1),
-                   lambda rng: random_gamma0(6, rng, bound=-1)):
-        rng = random.Random(5)
-        with pytest.raises(ValueError):
-            sample(rng)
-        assert rng.getrandbits(32) == random.Random(5).getrandbits(32)
-
-
 def test_random_al_refuses_a_non_exact_divisor():
     rng = random.Random(5)
     with pytest.raises(InvalidLevel):
@@ -424,7 +366,7 @@ def test_sampler_checks_the_determinant_of_each_draw(monkeypatch):
     monkeypatch.setattr(modgroup, "mod_inverse", lambda a, m: real(a, m) + 1)
     with pytest.raises(InternalClosureViolation):
         random_gamma0(6, random.Random(1))
-    for s in (1, 6):  # base_element makes no mod_inverse call for these
+    for s in (1, 6):  # the base integers need no mod_inverse call for these
         with pytest.raises(InternalClosureViolation):
             random_al(6, s, random.Random(1))
 
@@ -432,8 +374,14 @@ def test_sampler_checks_the_determinant_of_each_draw(monkeypatch):
 def test_random_al_checks_the_coset_of_its_product(monkeypatch):
     # A W_3 base element where W_2 is asked for: the product's diagonal is
     # 3 times odd entries, so reading it back as a*2 and e*2 leaves remainders.
-    real = modgroup.base_element
-    monkeypatch.setattr(modgroup, "base_element", lambda d, s: real(d, 3))
+    # random_al forms the pattern [[a*s, b], [c*d, e*s]] from s itself, so
+    # the W_3 integers arrive with a and e scaled by 3/s.
+    def w3_base(d, s):
+        a, b, c, e = real(d, 3)
+        return Fraction(3 * a, s), b, c, Fraction(3 * e, s)
+
+    real = modgroup._base
+    monkeypatch.setattr(modgroup, "_base", w3_base)
     for seed in range(5):
         with pytest.raises(InternalClosureViolation):
             random_al(6, 2, random.Random(seed))

@@ -2,7 +2,8 @@
 re-exports is in the `__all__` of the module that defines it, every
 function the benchmark tracer wraps is still there to wrap, no module
 imports a name it neither reads nor exports, no private module-level name
-goes unread, and no f-string lacks a placeholder."""
+goes unread, no default goes unset by every caller, and no f-string lacks
+a placeholder."""
 
 import ast
 import importlib
@@ -112,6 +113,65 @@ def test_no_unused_private_names():
                        if name.startswith("_") and not name.startswith("__")
                        and reads[name] - own[name] < 1]
     assert not unused, unused
+
+
+# check_sample's `g` lets a test hand in a wrong lift to see it caught; no
+# caller in the package or the benchmark needs it.
+UNSET_KNOBS_ALLOWED = {("corr", "check_sample", "g")}
+
+
+def _defaults(tree: ast.AST):
+    """(name, position, parameter) for each parameter with a default of a
+    public function, and for each dataclass field with a settable default;
+    position is None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                    len(positional) - len(args.defaults)):
+                yield node.name, i, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, None, arg.arg
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(dec) for dec in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None and not any(
+                        kw.arg == "init" for kw in getattr(f.value, "keywords", ())):
+                    yield node.name, i, f.target.id
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args[:position + 1])
+
+
+def test_every_default_is_set_by_some_caller():
+    """Each parameter default of a public function, and each dataclass field
+    default, in the package is overridden by some call in the package or
+    the benchmark, by position or keyword: a knob no caller turns is code
+    kept for no one.  Files are parsed, not imported."""
+    root = Path(k3fm.__file__).resolve().parent
+    sources = sorted(root.glob("*.py")) + sorted((root.parents[1] / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unset = []
+    for path, tree in trees.items():
+        if path.parent != root:
+            continue
+        for fn, position, name in _defaults(tree):
+            if (path.stem, fn, name) in UNSET_KNOBS_ALLOWED:
+                continue
+            if not any(getattr(c.func, "id", getattr(c.func, "attr", None)) == fn
+                       and _passes(c, position, name) for c in calls):
+                unset.append(f"{path.stem}.{fn}.{name}")
+    assert not unset, unset
 
 
 def test_no_f_string_without_placeholder():
