@@ -179,7 +179,8 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise _Exit(2, str(exc)) from None
     report, code = run_verify(config)
-    _emit(args.format, report, CSV_HEADER, *render(report))
+    rows, text = ((), ()) if args.format == "json" else render(report)
+    _emit(args.format, report, CSV_HEADER, rows, text)
     return code
 
 

@@ -151,7 +151,9 @@ def equivariance_defect(
                      + abs(x2 / xj - y2 / yj) ** 2)
 
 
-def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:
+def charge_product_defect(
+    t: InducedTransform, z: HalfPlanePoint, image: HalfPlanePoint | None = None
+) -> float:
     """|Z_src(z) * Z_tgt(t(z)) - 1| for the isotropic point-image vectors of
     a rank-nonzero transform.
 
@@ -159,14 +161,16 @@ def charge_product_defect(t: InducedTransform, z: HalfPlanePoint) -> float:
     likewise on the target side.  InducedTransform reads (rank, n_src, n_tgt)
     off the image as (c^2*(d/s), -c*e, a*c), so the two third entries are the
     integers e^2*s and a^2*s of the image's level s.  Each vector's central
-    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.
+    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.  Passing the
+    image point replaces mobius(t.image, z): a caller that already holds
+    it saves evaluating it again.
     """
     if t.rank == 0:
         raise ZeroRank("rank-zero transforms have no charge product")
     d = t.image.d
     s_src = d * t.n_src * t.n_src // t.rank
     s_tgt = d * t.n_tgt * t.n_tgt // t.rank
-    r, z1, z2 = t.rank, z.z, mobius(t.image, z).z
+    r, z1, z2 = t.rank, z.z, (mobius(t.image, z) if image is None else image).z
     prod = ((2 * d * z1 * t.n_src - s_src - d * z1 * z1 * r)
             * (2 * d * z2 * t.n_tgt - s_tgt - d * z2 * z2 * r))
     return abs(prod - 1.0)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import Factorization, _range_problem, factorize
+from .arith import Factorization, _range_problem, factorize_window
 from .corr import descend, represent, verify_correspondence
 from .fmcalc import induced_transform, partner_representatives
 from .halfplane import (
@@ -62,6 +62,8 @@ class VerifyConfig:
             raise ValueError(problem)
         if self.samples_per_coset < 1:
             raise ValueError("samples per coset must be at least 1")
+        if self.seed < 0:  # random.Random(-n) would seed as random.Random(n)
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.tolerance < math.inf:  # false for nan as well
             raise ValueError(
                 f"tolerance must be finite and positive, got {self.tolerance!r}")
@@ -70,8 +72,8 @@ class VerifyConfig:
         sampled = (self.d_max - self.d_min + 1) * self.samples_per_coset
         if sampled <= MAX_SAMPLED_ELEMENTS:
             sampled = 0
-            for d in range(self.d_min, self.d_max + 1):
-                sampled += self.samples_per_coset << factorize(d).omega
+            for level in factorize_window(self.d_min, self.d_max):
+                sampled += self.samples_per_coset << level.omega
                 if sampled > MAX_SAMPLED_ELEMENTS:
                     break
         if sampled > MAX_SAMPLED_ELEMENTS:
@@ -117,7 +119,7 @@ def _verify_level(level: Factorization, config: VerifyConfig,
             zm = mobius(t.image, z)
             scale = max(1.0, abs(zm.z))
             action_max = max(action_max, abs(za.z - zm.z) / scale)
-            charge_max = max(charge_max, charge_product_defect(t, z))
+            charge_max = max(charge_max, charge_product_defect(t, z, zm))
     for s in divisors:
         w = random_al(d, s, rng)
         g = represent(w)
@@ -156,8 +158,8 @@ def _verify_level(level: Factorization, config: VerifyConfig,
 def run_verify(config: VerifyConfig) -> tuple[dict, int]:
     """Run the whole pipeline; deterministic for a fixed config."""
     rng = random.Random(config.seed)
-    levels = [_verify_level(factorize(d), config, rng)
-              for d in range(config.d_min, config.d_max + 1)]
+    levels = [_verify_level(level, config, rng)
+              for level in factorize_window(config.d_min, config.d_max)]
     total = sum(level["failures"] for level in levels)
     report = {
         "config": {key: value if key == "tolerance" else str(value)

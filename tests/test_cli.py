@@ -6,10 +6,11 @@ import sys
 import pytest
 
 from k3fm import cli
-from k3fm.arith import factorize
+from k3fm.arith import factorize, factorize_window
 from k3fm.cli import VerifyConfig, main, run_verify
 from k3fm.corr import represent, verify_correspondence
 from k3fm.fmcalc import partner_census
+from k3fm.halfplane import charge_product_defect, mobius
 from k3fm.lattice import isometry_to_json
 from k3fm.modgroup import al_to_json, base_element, fricke_coset_count
 
@@ -364,6 +365,8 @@ def test_run_verify_api():
     {"d_min": 1.5}, {"samples_per_coset": 2.5}, {"samples_per_coset": True},
     {"seed": 1.5}, {"seed": "x"}, {"seed": True},
     {"tolerance": True}, {"tolerance": "1e-9"}, {"tolerance": 1e-9 + 0j},
+    # random.Random(-5) seeds as random.Random(5)
+    {"seed": -5},
 ])
 def test_verify_config_refuses_configs_that_check_nothing(kwargs):
     with pytest.raises(ValueError):
@@ -396,6 +399,16 @@ def test_verify_defaults_come_from_verify_config():
         config.tolerance)
 
 
+def _wrap_everywhere(monkeypatch, original, wrapper):
+    """Replace `original` with `wrapper` in every `k3fm` module that holds
+    it, as `bench/tracer.py` does, without importing `bench/`."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "k3fm" or name.startswith("k3fm.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 def test_verify_keeps_the_benchmark_tracer_contract(capsys, monkeypatch):
     """Wrap `run_verify` and `verify_correspondence` wherever a `k3fm`
     module holds them, as the benchmark tracer does: each level's
@@ -412,16 +425,77 @@ def test_verify_keeps_the_benchmark_tracer_contract(capsys, monkeypatch):
         return wrapper
 
     for original in (run_verify, verify_correspondence):
-        wrapper = counting(original)
-        for name, module in list(sys.modules.items()):
-            if module is not None and (name == "k3fm" or name.startswith("k3fm.")):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
+        _wrap_everywhere(monkeypatch, original, counting(original))
     assert run_cli(capsys, "verify", "--d-max", "3", "--samples", "1")[0] == 0
     assert calls == ["run_verify",
                      *["verify_correspondence", "end verify_correspondence"] * 3,
                      "end run_verify"]
+
+
+def test_verify_evaluates_each_image_once_in_the_tracer_view(capsys, monkeypatch):
+    """Wrap `mobius` and `charge_product_defect` wherever a `k3fm` module
+    holds them, as the benchmark tracer does.  At d = 1, 2, 3 there are 5
+    transforms and 5 sampled coset elements with one point each: one
+    charge check per transform point, and one `mobius` per analytic point
+    (the action defect's and the equivariance defect's)."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for original in (mobius, charge_product_defect):
+        _wrap_everywhere(monkeypatch, original, counting(original))
+    assert run_cli(capsys, "verify", "--d-max", "3", "--samples", "1")[0] == 0
+    assert calls.count("charge_product_defect") == 5
+    assert calls.count("mobius") == 10
+
+
+def test_verify_makes_no_one_level_factorization(capsys, monkeypatch):
+    """The size walk and the run each take their levels from one window
+    over d_min..d_max; no level is factorized again on its own."""
+    widths = []
+
+    def counting(d_min, d_max):
+        widths.append(d_max - d_min + 1)
+        return factorize_window(d_min, d_max)
+
+    _wrap_everywhere(monkeypatch, factorize_window, counting)
+    assert run_cli(capsys, "verify", "--d-max", "60", "--samples", "1")[0] == 0
+    assert widths == [60, 60]
+
+
+def test_verify_json_renders_no_csv_or_text(capsys, monkeypatch):
+    args = ("verify", "--d-max", "12", "--samples", "2")
+    want = run_cli(capsys, *args)
+
+    def refuse(report):
+        raise AssertionError("render called")
+
+    monkeypatch.setattr("k3fm.cli.render", refuse)
+    assert run_cli(capsys, *args, "--format", "json") == want
+    for fmt in ("csv", "text"):
+        with pytest.raises(AssertionError, match="render called"):
+            run_cli(capsys, *args, "--format", fmt)
+    monkeypatch.undo()
+    for fmt in ("csv", "text"):
+        code, out, _ = run_cli(capsys, *args, "--format", fmt)
+        assert code == 0 and out.count("\n") > 12
+
+
+def test_verify_refuses_a_negative_seed_before_any_work(capsys, monkeypatch):
+    # random.Random(-5) seeds as random.Random(5), so -5 would silently
+    # stand for 5 while the report's config says -5.
+    def refuse(config):
+        raise AssertionError("run_verify called")
+
+    monkeypatch.setattr("k3fm.cli.run_verify", refuse)
+    code, out, err = run_cli(capsys, "verify", "--d-max", "6", "--samples", "2",
+                             "--seed", "-5", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be non-negative, got -5\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -101,6 +101,11 @@ CASES = {
     'verify-52-json': (
         'verify --d-min 52 --d-max 52 --samples 3', None, 0, '',
         'dca1dba386bfc678c2ac78c4e908d63220bb912c7d05397d8290b70a88c8a71a'),
+    # Sixty levels, more than factorize's 32-entry memo holds, so a run
+    # whose levels are factorized once per pass shows here.
+    'verify-60-json': (
+        'verify --d-min 1 --d-max 60 --samples 2 --format json', None, 0, '',
+        '8b38e01e992ef887c74fffd758c21c889000331d1557ca2bfd6d53bf79010671'),
     'table-csv': (
         'table --d-min 1 --d-max 30 --format csv', None, 0, '',
         'a0fec094e6c64c0c5257660fa8d030e4643e139c9d652fa3e56062c3a2504ae2'),
@@ -146,6 +151,9 @@ CASES = {
     'verify-2310-csv': (
         'verify --d-min 2310 --d-max 2310 --samples 2 --format csv', None, 1, '',
         'f0a5820f1d26e4e8aa76e2efdd8930c17d524247732204cfe589b1d869c33651'),
+    'verify-60-csv': (
+        'verify --d-min 1 --d-max 60 --samples 2 --format csv', None, 0, '',
+        '9cb1ceb44f9a78dafd514e3b381310a1b7f9787e787dd7d27eb8c7b6e2bca690'),
     'table-text': (
         'table --d-min 1 --d-max 30 --format text', None, 0, '',
         'b64be1bb00fd6dedf3188bcc52d7f158f4765fda969b333fed0dee21c5f53c27'),
@@ -182,6 +190,9 @@ CASES = {
     'verify-2310-text': (
         'verify --d-min 2310 --d-max 2310 --samples 2 --format text', None, 1, '',
         '09c723073fbd4e1a3966f811f0010ef22eb2dcd53fbda5931ecfab5ba445456a'),
+    'verify-60-text': (
+        'verify --d-min 1 --d-max 60 --samples 2 --format text', None, 0, '',
+        '5ec5ad26b7f22cf681750e8137ca74313488480abae2b081accc080815744ae2'),
     'classify-int-entries': (
         'classify --d 6', IDENTITY_INTS, 0, '',
         '4a01dc7b792398973e51f4d2f24aa9450559423b1a1de8463a2db1ecb517cc65'),
@@ -208,6 +219,9 @@ CASES = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-too-many-samples': (
         'verify --d-max 1 --samples 100000', None, 2, 'error: verify samples at most 65536 coset elements (samples x 2**omega(d) over the levels), got at least 100000\n',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-negative-seed': (
+        'verify --d-max 6 --samples 2 --seed -5', None, 2, 'error: seed must be non-negative, got -5\n',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-bad-format': (
         'verify --format yaml', None, 2, "usage: k3fm verify [-h] [--d-min D_MIN] [--d-max D_MAX] [--samples SAMPLES]\n                   [--seed SEED] [--tol TOL] [--format {json,csv,text}]\nk3fm verify: error: argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')\n",

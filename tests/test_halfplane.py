@@ -148,6 +148,21 @@ def test_charge_product_identity():
                               HalfPlanePoint(0.0, 1.0))
 
 
+def test_charge_product_defect_takes_the_image_point_bit_for_bit():
+    rng = random.Random(54)
+    moved = 0
+    for d in (6, 50, 2310, 510510, 9699690):
+        for r in exact_divisor_values(d):
+            t = induced_transform(d, r)
+            for _ in range(2):
+                z = random_point(rng)
+                want = charge_product_defect(t, z).hex()
+                assert charge_product_defect(t, z, mobius(t.image, z)).hex() == want
+                # the point passed in is the one used
+                moved += charge_product_defect(t, z, z).hex() != want
+    assert moved > 0
+
+
 def test_equivariance_defect():
     rng = random.Random(49)
     z = random_point(rng)
