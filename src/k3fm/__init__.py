@@ -45,11 +45,9 @@ from .fmcalc import (
 from .halfplane import (
     HalfPlanePoint,
     charge_product_defect,
-    embed,
     equivariance_defect,
     induced_action,
     mobius,
-    real_matrix,
 )
 from .lattice import (
     IsometryN,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -48,9 +49,14 @@ def _check_positive(d: int) -> None:
 def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
     """Write one result to stdout: `obj` as sorted, indented JSON, `header`
     and `rows` as RFC-4180 CSV, or the lines of `text`.  Only the chosen
-    one of `rows` and `text` is iterated, so both may be lazy."""
+    one of `rows` and `text` is iterated, so both may be lazy.  JSON goes
+    out 4096 encoder chunks at a time: json.dumps would hold the whole
+    document, as a list of chunks and as one string, at once."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)

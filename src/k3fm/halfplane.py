@@ -1,10 +1,11 @@
-"""Floating-point layer: upper-half-plane actions, the tube-domain
-embedding, and the cross-checks tying the 2x2 and 3x3 pictures together.
+"""Floating-point layer: upper-half-plane actions and the cross-checks
+tying the 2x2 and 3x3 pictures together through the tube domain.
 
-Exactness lives in the other modules; this one renders coset elements to
-real matrices (the only place a square root is taken) and measures
-agreement with relative tolerances, 1e-12 for local arithmetic and 1e-9
-for composed pipelines.
+Exactness lives in the other modules; this one evaluates the objects it is
+handed (an element, a transform, a lift, an image point), with `mobius`
+the only place a square root is taken, and measures agreement with
+relative tolerances, 1e-12 for local arithmetic and 1e-9 for composed
+pipelines.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corr import represent
 from .errors import LevelMismatch, NotInUpperHalfPlane, NumericalPole, ZeroRank
 from .fmcalc import InducedTransform
 from .lattice import IsometryN
@@ -20,8 +20,6 @@ from .modgroup import ALElement
 
 __all__ = [
     "HalfPlanePoint",
-    "real_matrix",
-    "embed",
     "mobius",
     "induced_action",
     "equivariance_defect",
@@ -49,32 +47,18 @@ class HalfPlanePoint:
         return complex(self.u, self.v)
 
 
-def real_matrix(w: ALElement) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Render the quintuple to its real 2x2 matrix; the single irrational
-    ingredient sqrt(s) enters here and nowhere else."""
-    root = math.sqrt(w.s)
-    return (
-        (w.a * root, w.b / root),
-        (w.c * (w.d // w.s) * root, w.e * root),
-    )
-
-
-def embed(z: HalfPlanePoint, d: int) -> tuple[complex, complex, complex]:
-    """z -> [exp(z*L)] = (1, z, d*z^2) in coordinates (e0, ell, e4); isotropic,
-    and positively paired with its conjugate."""
-    zz = z.z
-    return (complex(1.0), zz, d * zz * zz)
-
-
 def mobius(w: ALElement, z: HalfPlanePoint) -> HalfPlanePoint:
-    """Fractional-linear action of w.
+    """Fractional-linear action of w through its real matrix
+    ((a*sqrt(s), b/sqrt(s)), (c*(d/s)*sqrt(s), e*sqrt(s))).
 
     The imaginary part of the image of a determinant-one matrix is exactly
     v / |gamma*z + delta|^2; computing it that way keeps it positive where
     the naive complex quotient would cancel catastrophically for large
     entries.  A vanishing denominator is the (measure-zero) pole.
     """
-    (al, be), (ga, de) = real_matrix(w)
+    root = math.sqrt(w.s)
+    al, be = w.a * root, w.b / root
+    ga, de = w.c * (w.d // w.s) * root, w.e * root
     zz = z.z
     den = ga * zz + de
     den2 = den.real * den.real + den.imag * den.imag
@@ -87,48 +71,44 @@ def mobius(w: ALElement, z: HalfPlanePoint) -> HalfPlanePoint:
     return HalfPlanePoint(num.real / den2, v_out)
 
 
-def induced_action(
-    d: int, rank: int, n_src: int, n_tgt: int, z: HalfPlanePoint
-) -> HalfPlanePoint:
-    """Action on the half plane of a rank/twist datum:
+def induced_action(t: InducedTransform, z: HalfPlanePoint) -> HalfPlanePoint:
+    """Action on the half plane of a transform's rank/twist datum:
 
         z -> (1/(d*|rank|)) * (-1/(z - n_src/rank)) + n_tgt/rank.
 
-    Rank zero acts by translation instead; use mobius with a translation.
+    Rank zero acts by translation instead; use mobius(t.image, z).
     """
+    rank = t.rank
     if rank == 0:
         raise ZeroRank("rank-zero transforms act by translation")
-    zz = z.z - n_src / rank
+    zz = z.z - t.n_src / rank
     if abs(zz) < _TINY:
         raise NumericalPole("action evaluated at its pole")
-    out = (-1.0 / zz) / (d * abs(rank)) + n_tgt / rank
+    out = (-1.0 / zz) / (t.image.d * abs(rank)) + t.n_tgt / rank
     if not out.imag > 0:
         raise NumericalPole(f"image {out} left the upper half plane")
     return HalfPlanePoint(out.real, out.imag)
 
 
-def equivariance_defect(
-    w: ALElement, z: HalfPlanePoint, isometry: IsometryN | None = None
-) -> float:
-    """Distance between the 3x3 lift acting on the embedded point and the
-    embedding of the 2x2 action.
+def equivariance_defect(w: ALElement, z: HalfPlanePoint, isometry: IsometryN) -> float:
+    """Distance between the 3x3 isometry acting on the tube-domain point
+    (1, z, d*z^2) (coordinates e0, ell, e4) and the tube-domain point of
+    the 2x2 action of w.
 
     Both images of the complex line are rescaled by their best-conditioned
     coordinate (largest magnitude, never a near-zero first component)
-    before comparing; near zero certifies the two pictures agree through
-    the tube domain.  Passing a matrix replaces the lift: a caller that
-    already holds represent(w) saves lifting it again, and a harness can
-    check that corruption is visible.
+    before comparing; near zero certifies that the isometry, normally
+    represent(w), acts as w does through the tube domain.  A corrupted
+    isometry shows as a large defect.
     """
-    g = represent(w) if isometry is None else isometry
     d = w.d
-    if g.d != d:
+    if isometry.d != d:
         raise LevelMismatch("matrix level does not match the element")
-    # Straight-line form of x = g * embed(z) and y = embed(mobius(w, z)):
-    # each row sum starts from the int 0 and every sum runs left to right,
-    # so no float follows the running Python's sum(), which compensates
-    # from 3.12 on.
-    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g.m
+    # Straight-line form of x = isometry * (1, z, d*z^2) and
+    # y = (1, y1, d*y1^2), y1 = mobius(w, z): each row sum starts from the
+    # int 0 and every sum runs left to right, so no float follows the
+    # running Python's sum(), which compensates from 3.12 on.
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = isometry.m
     g00, g01, g02 = float(g00), float(g01), float(g02)
     g10, g11, g12 = float(g10), float(g11), float(g12)
     g20, g21, g22 = float(g20), float(g21), float(g22)
@@ -152,25 +132,24 @@ def equivariance_defect(
 
 
 def charge_product_defect(
-    t: InducedTransform, z: HalfPlanePoint, image: HalfPlanePoint | None = None
+    t: InducedTransform, z: HalfPlanePoint, image: HalfPlanePoint
 ) -> float:
-    """|Z_src(z) * Z_tgt(t(z)) - 1| for the isotropic point-image vectors of
-    a rank-nonzero transform.
+    """|Z_src(z) * Z_tgt(image) - 1| for the isotropic point-image vectors
+    of a rank-nonzero transform, where image is t(z), normally
+    mobius(t.image, z).
 
     The source-side vector is (r, n, s) = (rank, n_src, d*n_src^2/rank) and
     likewise on the target side.  InducedTransform reads (rank, n_src, n_tgt)
     off the image as (c^2*(d/s), -c*e, a*c), so the two third entries are the
     integers e^2*s and a^2*s of the image's level s.  Each vector's central
-    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.  Passing the
-    image point replaces mobius(t.image, z): a caller that already holds
-    it saves evaluating it again.
+    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.
     """
     if t.rank == 0:
         raise ZeroRank("rank-zero transforms have no charge product")
     d = t.image.d
     s_src = d * t.n_src * t.n_src // t.rank
     s_tgt = d * t.n_tgt * t.n_tgt // t.rank
-    r, z1, z2 = t.rank, z.z, (mobius(t.image, z) if image is None else image).z
+    r, z1, z2 = t.rank, z.z, image.z
     prod = ((2 * d * z1 * t.n_src - s_src - d * z1 * z1 * r)
             * (2 * d * z2 * t.n_tgt - s_tgt - d * z2 * z2 * r))
     return abs(prod - 1.0)

@@ -103,19 +103,19 @@ def _verify_level(level: Factorization, config: VerifyConfig,
     coset_count = fricke_coset_count(d)
     census_ok = fm_number == coset_count == formula
 
-    built = [induced_transform(d, r) for r in divisors]
-    transforms = []
-    for r, t in zip(divisors, built):
-        level = descend(represent(t.image)).s
-        transforms.append({"r": str(r), "twist": str(t.n_src), "level": str(level),
-                           "expected_level": str(d // r), "ok": level == d // r})
-
+    # Only the analytic points draw from rng here (descend draws nothing),
+    # one transform after another in divisor order.
     n_points = min(10, config.samples_per_coset)
     action_max = charge_max = equiv_max = 0.0
-    for t in built:
+    transforms = []
+    for r in divisors:
+        t = induced_transform(d, r)
+        s = descend(represent(t.image)).s
+        transforms.append({"r": str(r), "twist": str(t.n_src), "level": str(s),
+                           "expected_level": str(d // r), "ok": s == d // r})
         for _ in range(n_points):
             z = _sample_point(rng)
-            za = induced_action(d, t.rank, t.n_src, t.n_tgt, z)
+            za = induced_action(t, z)
             zm = mobius(t.image, z)
             scale = max(1.0, abs(zm.z))
             action_max = max(action_max, abs(za.z - zm.z) / scale)
@@ -124,8 +124,7 @@ def _verify_level(level: Factorization, config: VerifyConfig,
         w = random_al(d, s, rng)
         g = represent(w)
         for _ in range(n_points):
-            equiv_max = max(equiv_max,
-                            equivariance_defect(w, _sample_point(rng), isometry=g))
+            equiv_max = max(equiv_max, equivariance_defect(w, _sample_point(rng), g))
     analytic_ok = max(action_max, charge_max, equiv_max) < config.tolerance
     failures = (len(sampled) + sum(not t["ok"] for t in transforms)
                 + (not census_ok) + (not analytic_ok))

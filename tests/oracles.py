@@ -42,8 +42,8 @@ def neg(a):
 
 def equivariance_defect(w, z, g):
     """halfplane.equivariance_defect in its row-by-row form: the lift g
-    acts on embed(z) = (1, z, d*z^2) row by row, the best coordinate is
-    picked by max, and the distance sums three squares.  Every sum is
+    acts on the tube-domain point (1, z, d*z^2) row by row, the best
+    coordinate is picked by max, and the distance sums three squares.  Every sum is
     written out left to right (a row from the int 0), so the reference does
     not follow the running Python's sum().  The library's straight-line
     form must give the same float, bit for bit."""

@@ -137,17 +137,17 @@ def test_criterion_5_analytic_consistency():
             t = induced_transform(d, r)
             for _ in range(100):
                 z = HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
-                za = induced_action(d, t.rank, t.n_src, t.n_tgt, z)
+                za = induced_action(t, z)
                 zm = mobius(t.image, z)
                 if abs(za.z - zm.z) / max(1.0, abs(zm.z)) >= ANALYTIC_TOL:
                     failures.append((d, r, "action mismatch"))
-                if charge_product_defect(t, z) >= ANALYTIC_TOL:
+                if charge_product_defect(t, z, zm) >= ANALYTIC_TOL:
                     failures.append((d, r, "charge product"))
         for s in exact_divisor_values(d):
             w = random_al(d, s, rng)
             for _ in range(100):
                 z = HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
-                if equivariance_defect(w, z) >= ANALYTIC_TOL:
+                if equivariance_defect(w, z, represent(w)) >= ANALYTIC_TOL:
                     failures.append((d, s, "equivariance"))
     _finish(5, "analytic consistency", failures, started, budget=10.0)
 

@@ -85,6 +85,27 @@ def test_table_huge_window_exits_2_without_traceback():
         f"error: table windows hold at most 1000000 levels, got {10**12}\n")
 
 
+def _limit_address_space_to_144_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (144 << 20, 144 << 20))
+
+
+def test_table_json_streams_under_a_tight_address_space():
+    # 10**5 levels of JSON: streamed, the run needs about 100 MiB of address
+    # space; encoded whole as by json.dumps, it needs about 200 MiB and ends
+    # in a MemoryError traceback from the encoder (Python 3.11, x86_64)
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**5),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space_to_144_mib,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = json.loads(proc.stdout)["rows"]
+    assert len(rows) == 10**5
+    assert rows[-1] == {"d": "100000", "omega": "2", "exact_divisors": "4",
+                        "fm_number": "2", "fricke_index": "2"}
+
+
 def test_table_window_limit_is_checked_before_any_work(capsys, monkeypatch):
     windows = []
     monkeypatch.setattr("k3fm.cli.factorize_window",

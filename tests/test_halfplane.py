@@ -11,11 +11,9 @@ from k3fm.fmcalc import InducedTransform, induced_transform, partner_label
 from k3fm.halfplane import (
     HalfPlanePoint,
     charge_product_defect,
-    embed,
     equivariance_defect,
     induced_action,
     mobius,
-    real_matrix,
 )
 from k3fm.lattice import IsometryN
 from k3fm.modgroup import al_identity, al_mul, base_element, random_al, translation
@@ -28,6 +26,13 @@ def random_point(rng):
     return HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
 
 
+def tube_vector(z, d):
+    """z -> [exp(z*L)] = (1, z, d*z^2) in coordinates (e0, ell, e4): the
+    tube-domain point equivariance_defect compares in."""
+    zz = z.z
+    return (complex(1.0), zz, d * zz * zz)
+
+
 def tube_self_pairing(d, v):
     return 2 * d * v[1] * v[1] - 2 * v[0] * v[2]
 
@@ -38,12 +43,12 @@ def tube_conjugate_pairing(d, v):
 
 
 def test_embed_examples():
-    tv = embed(HalfPlanePoint(0.0, 1.0), 7)
+    tv = tube_vector(HalfPlanePoint(0.0, 1.0), 7)
     assert tv[0] == 1 and tv[1] == 1j and tv[2] == -7
     # real and imaginary parts span the orientation plane of the lattice side
     assert [x.real for x in tv] == [1.0, 0.0, -7.0]
     assert [x.imag for x in tv] == [0.0, 1.0, 0.0]
-    tv = embed(HalfPlanePoint(1.0, 1.0), 2)
+    tv = tube_vector(HalfPlanePoint(1.0, 1.0), 2)
     assert tv == (1, 1 + 1j, 4j)
 
 
@@ -52,13 +57,13 @@ def test_embed_invariants():
     for d in (1, 2, 6, 30):
         for _ in range(50):
             z = random_point(rng)
-            v = embed(z, d)
+            v = tube_vector(z, d)
             scale = max(abs(x) for x in v) ** 2
             assert abs(tube_self_pairing(d, v)) <= LOCAL_TOL * scale
             assert tube_conjugate_pairing(d, v).real > 0
     # positivity grows like t^2 along the imaginary axis
-    low = tube_conjugate_pairing(2, embed(HalfPlanePoint(0, 10.0), 2))
-    high = tube_conjugate_pairing(2, embed(HalfPlanePoint(0, 100.0), 2))
+    low = tube_conjugate_pairing(2, tube_vector(HalfPlanePoint(0, 10.0), 2))
+    high = tube_conjugate_pairing(2, tube_vector(HalfPlanePoint(0, 100.0), 2))
     assert high.real > 90 * low.real
 
 
@@ -75,9 +80,18 @@ def test_halfplane_guard():
 
 
 def test_real_matrix_determinant():
+    # mobius acts by ((a*sqrt(s), b/sqrt(s)), (c*(d/s)*sqrt(s), e*sqrt(s))),
+    # a determinant-one real matrix
+    rng = random.Random(55)
     for d, s in ((6, 2), (30, 15), (2, 2)):
-        (a, b), (c, e) = real_matrix(base_element(d, s))
+        w = base_element(d, s)
+        root = math.sqrt(s)
+        (a, b), (c, e) = (w.a * root, w.b / root), (w.c * (d // s) * root, w.e * root)
         assert abs(a * e - b * c - 1.0) < LOCAL_TOL
+        for _ in range(10):
+            z = random_point(rng)
+            want = (a * z.z + b) / (c * z.z + e)
+            assert abs(mobius(w, z).z - want) / max(1.0, abs(want)) < LOCAL_TOL
 
 
 def test_mobius_identity_and_translation():
@@ -116,10 +130,44 @@ def test_mobius_homomorphism_and_stability():
 
 
 def test_induced_action_example():
-    out = induced_action(2, 1, 0, 1, HalfPlanePoint(0.0, 1.0))
+    t = induced_transform(2, 1)
+    assert (t.image.d, t.rank, t.n_src, t.n_tgt) == (2, 1, 0, 1)
+    out = induced_action(t, HalfPlanePoint(0.0, 1.0))
     assert abs(out.z - (1 + 0.5j)) < LOCAL_TOL
+    lab = partner_label(2, 1)
     with pytest.raises(ZeroRank):
-        induced_action(2, 0, 0, 0, HalfPlanePoint(0.0, 1.0))
+        induced_action(InducedTransform(lab, lab, translation(2, 1)),
+                       HalfPlanePoint(0.0, 1.0))
+
+
+def _datum_action(d, rank, n_src, n_tgt, z):
+    """The rank/twist datum formula, as a float.hex pair or the refusal
+    it raised."""
+    zz = z.z - n_src / rank
+    if abs(zz) < 1e-300:
+        return "NumericalPole"
+    out = (-1.0 / zz) / (d * abs(rank)) + n_tgt / rank
+    if not out.imag > 0:
+        return "NumericalPole"
+    return out.real.hex(), out.imag.hex()
+
+
+def test_induced_action_reads_the_transform_bit_for_bit():
+    rng = random.Random(56)
+    compared = 0
+    for d in (6, 50, 2310, 510510):
+        for r in exact_divisor_values(d):
+            t = induced_transform(d, r)
+            for _ in range(3):
+                z = random_point(rng)
+                try:
+                    out = induced_action(t, z)
+                    got = out.u.hex(), out.v.hex()
+                except NumericalPole:
+                    got = "NumericalPole"
+                assert got == _datum_action(d, t.rank, t.n_src, t.n_tgt, z), (d, r, z)
+                compared += 1
+    assert compared == 3 * (4 + 4 + 32 + 128)
 
 
 def test_induced_action_matches_matrix():
@@ -129,7 +177,7 @@ def test_induced_action_matches_matrix():
             t = induced_transform(d, r)
             for _ in range(5):
                 z = random_point(rng)
-                za = induced_action(d, t.rank, t.n_src, t.n_tgt, z)
+                za = induced_action(t, z)
                 zm = mobius(t.image, z)
                 assert abs(za.z - zm.z) / max(1.0, abs(zm.z)) < LOCAL_TOL
                 assert za.v > 0
@@ -141,11 +189,28 @@ def test_charge_product_identity():
         for r in exact_divisor_values(d):
             t = induced_transform(d, r)
             for _ in range(20):
-                assert charge_product_defect(t, random_point(rng)) < PIPELINE_TOL
+                z = random_point(rng)
+                assert charge_product_defect(t, z, mobius(t.image, z)) < PIPELINE_TOL
     lab = partner_label(6, 1)
+    z = HalfPlanePoint(0.0, 1.0)
     with pytest.raises(ZeroRank):
-        charge_product_defect(InducedTransform(lab, lab, translation(6, 3)),
-                              HalfPlanePoint(0.0, 1.0))
+        charge_product_defect(InducedTransform(lab, lab, translation(6, 3)), z, z)
+
+
+def test_defects_require_what_they_evaluate():
+    z = HalfPlanePoint(0.0, 1.0)
+    with pytest.raises(TypeError):
+        equivariance_defect(base_element(6, 2), z)
+    with pytest.raises(TypeError):
+        charge_product_defect(induced_transform(6, 1), z)
+
+
+def _charge_product(t, z1, z2):
+    """The charge product formula, written out apart from the library."""
+    d, r, n, m = t.image.d, t.rank, t.n_src, t.n_tgt
+    zs = 2 * d * z1 * n - d * n * n // r - d * z1 * z1 * r
+    zt = 2 * d * z2 * m - d * m * m // r - d * z2 * z2 * r
+    return abs(zs * zt - 1.0)
 
 
 def test_charge_product_defect_takes_the_image_point_bit_for_bit():
@@ -156,21 +221,24 @@ def test_charge_product_defect_takes_the_image_point_bit_for_bit():
             t = induced_transform(d, r)
             for _ in range(2):
                 z = random_point(rng)
-                want = charge_product_defect(t, z).hex()
-                assert charge_product_defect(t, z, mobius(t.image, z)).hex() == want
+                zm = mobius(t.image, z)
+                want = _charge_product(t, z.z, zm.z).hex()
+                assert charge_product_defect(t, z, zm).hex() == want
                 # the point passed in is the one used
-                moved += charge_product_defect(t, z, z).hex() != want
+                got = charge_product_defect(t, z, z).hex()
+                assert got == _charge_product(t, z.z, z.z).hex()
+                moved += got != want
     assert moved > 0
 
 
 def test_equivariance_defect():
     rng = random.Random(49)
     z = random_point(rng)
-    assert equivariance_defect(al_identity(6), z) == 0.0
+    assert equivariance_defect(al_identity(6), z, represent(al_identity(6))) == 0.0
     for s in exact_divisor_values(6):
         for _ in range(25):
             w = random_al(6, s, rng)
-            assert equivariance_defect(w, random_point(rng)) < PIPELINE_TOL
+            assert equivariance_defect(w, random_point(rng), represent(w)) < PIPELINE_TOL
 
 
 def test_equivariance_defect_sees_corruption():

@@ -2,12 +2,13 @@
 re-exports is in the `__all__` of the module that defines it, every
 function the benchmark tracer wraps is still there to wrap, no module
 imports a name it neither reads nor exports, no private module-level name
-goes unread, no default goes unset by every caller, and no f-string lacks
-a placeholder."""
+and no public one goes unread, no default goes unset by every caller, and
+no f-string lacks a placeholder."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ import k3fm
 
 MODULES = [importlib.import_module(f"k3fm.{info.name}")
            for info in pkgutil.iter_modules(k3fm.__path__) if info.name != "__main__"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_all_entry_exists():
@@ -35,14 +37,19 @@ def test_reexports_are_in_the_defining_module_all():
         assert name in getattr(module, "__all__", [name]), (module.__name__, name)
 
 
+def _traced() -> list[tuple[str, str]]:
+    """The (layer, fn) pairs of `bench/tracer.py`'s `TRACED`, read as source,
+    so nothing under bench/ is imported here."""
+    source = (ROOT / "bench" / "tracer.py").read_text()
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+
+
 def test_benchmark_traced_names_resolve():
     """`bench/tracer.py` patches `k3fm.<layer>.<fn>` by name (the class
-    `ALElement` through its `__post_init__`); its table is read as source,
-    so nothing under bench/ is imported here."""
-    source = (Path(__file__).resolve().parents[1] / "bench" / "tracer.py").read_text()
-    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    `ALElement` through its `__post_init__`)."""
+    traced = _traced()
     assert traced
     for layer, fn in traced:
         target = getattr(importlib.import_module(f"k3fm.{layer}"), fn, None)
@@ -90,6 +97,16 @@ def _reads(node: ast.AST) -> Counter:
     return reads
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The module-level names a `def`, `class` or `NAME =` statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def test_no_unused_private_names():
     """Every module-level private name in the package (a `_def`, `_class`
     or `_NAME =`) is read somewhere in the package source outside its own
@@ -101,18 +118,48 @@ def test_no_unused_private_names():
     unused = []
     for tree in trees:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
             own = _reads(node)
-            unused += [name for name in names
+            unused += [name for name in _defined_names(node)
                        if name.startswith("_") and not name.startswith("__")
                        and reads[name] - own[name] < 1]
     assert not unused, unused
+
+
+# Public names that no module, benchmark file or README example reads.
+UNREAD_PUBLIC_ALLOWED = {
+    "compose": "the groupoid law of transforms (acceptance criterion 4)",
+    "invert": "the groupoid law of transforms (acceptance criterion 4)",
+    "isometry_to_json": "the inverse of the wire reader isometry_from_json",
+    "al_identity": "a group constructor the tests use across modules",
+    "translation": "a group constructor the tests use across modules",
+}
+
+
+def test_no_unread_public_names():
+    """Every `__all__` entry is read outside its own definition: in another
+    part of the package (the re-exports of `__init__.py` do not count), in
+    `bench/*.py` (a `TRACED` entry counts) or in the README's Python
+    example.  A name kept for the tests alone is listed, with its reason,
+    in UNREAD_PUBLIC_ALLOWED; anything else is surface no one uses."""
+    src = Path(k3fm.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        reads += _reads(ast.parse(path.read_text(encoding="utf-8")))
+    reads.update(fn for _, fn in _traced())
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL):
+        reads += _reads(ast.parse(block))
+    exported = {name for module in MODULES for name in getattr(module, "__all__", ())}
+    unread = []
+    for tree in trees:
+        for node in tree.body:
+            own = _reads(node)
+            unread += [name for name in _defined_names(node)
+                       if name in exported and name not in UNREAD_PUBLIC_ALLOWED
+                       and reads[name] - own[name] < 1]
+    assert not unread, unread
 
 
 # check_sample's `g` lets a test hand in a wrong lift to see it caught; no
