@@ -44,26 +44,42 @@ class Factorization:
             raise ValueError(f"n must be below 2**64, got {self.n}")
         prod = 1
         last = 1
-        divisors = [1]
         for p, k in self.factors:
             if p <= last or k < 1:
                 raise ValueError("factors must be sorted prime powers")
             last = p
             # p**k >= 2**k, so an exponent from 64 up overshoots any n here
-            q = p**k if k < 64 else FACTORIZE_BOUND
-            prod *= q
-            if prod > self.n:  # stop before a further doubling of divisors
+            prod *= p**k if k < 64 else FACTORIZE_BOUND
+            if prod > self.n:  # stop before a long tuple of factors is read
                 break
-            divisors += [v * q for v in divisors]
         if prod != self.n:
             raise ValueError(f"factors do not multiply to {self.n}")
-        divisors.sort()
-        object.__setattr__(self, "divisors", tuple(divisors))
+        object.__setattr__(self, "divisors", _exact_divisors(self.factors))
 
     @property
     def omega(self) -> int:
         """Number of distinct prime factors."""
         return len(self.factors)
+
+
+def _exact_divisors(factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The products of the subsets of the prime powers in `factors`,
+    ascending: the exact divisors of their product."""
+    divisors = [1]
+    for p, k in factors:
+        q = p**k
+        divisors += [v * q for v in divisors]
+    divisors.sort()
+    return tuple(divisors)
+
+
+def _proved(n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+    """Factorization(n, factors) without the constructor's checks, for the
+    window, whose factors are sorted prime powers that multiply to n by
+    construction."""
+    f = object.__new__(Factorization)
+    f.__dict__.update(n=n, factors=factors, divisors=_exact_divisors(factors))
+    return f
 
 
 def _range_problem(d_min: int, d_max: int) -> str | None:
@@ -80,8 +96,13 @@ def _range_problem(d_min: int, d_max: int) -> str | None:
 # Trial division stops at this bound; cofactors it leaves are split by
 # Miller-Rabin and Pollard-Brent rho.
 _TRIAL_LIMIT = 2**11
+# A cofactor below this bound that has no prime factor below _TRIAL_LIMIT,
+# or none up to its square root, is 1 or prime (the first prime past
+# _TRIAL_LIMIT is 2053).
+_TRIAL_SQUARE = _TRIAL_LIMIT**2
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RHO_BATCH = 128  # rho steps per gcd
+_BLOCK = 2**14  # levels per trial-division pass of a window
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -119,46 +140,49 @@ def factorize(n: int) -> Factorization:
 
 
 def factorize_window(d_min: int, d_max: int) -> Iterator[Factorization]:
-    """factorize(d) for d = d_min, ..., d_max in order, from one
-    trial-division pass over the window: each prime below _TRIAL_LIMIT up
-    to sqrt(d_max) strides over its multiples there, and a one-level window
+    """factorize(d) for d = d_min, ..., d_max in order, from trial-division
+    passes over blocks of _BLOCK consecutive levels: each prime below
+    _TRIAL_LIMIT up to the square root of the block's last level strides
+    over its multiples there, and a one-level block (so a one-level window)
     stops once p*p passes its cofactor.  A cofactor that may still be
     composite is split by a deterministic Miller-Rabin test and
-    Pollard-Brent rho.  The pass runs on the call; each factorization is
-    finished, and put in factorize's memo, as the iterator reaches it."""
+    Pollard-Brent rho.  The range is checked on the call.  A block's pass
+    runs when the iterator reaches the block, and each factorization is
+    finished, and put in factorize's memo, as the iterator reaches it, so a
+    window holds one block at a time."""
     if (problem := _range_problem(d_min, d_max)) is not None:
         raise ValueError(problem)
-    rest = list(range(d_min, d_max + 1))
-    found: list[list[tuple[int, int]]] = [[] for _ in rest]
-    top = d_max
-    for p in _TRIAL_PRIMES:
-        if p * p > top:
-            break
-        for i in range(-d_min % p, len(rest), p):
-            m, k = rest[i] // p, 1
-            while m % p == 0:
-                m //= p
-                k += 1
-            rest[i] = m
-            found[i].append((p, k))
-        if d_min == d_max:
-            top = rest[0]
-    return map(_finish, range(d_min, d_max + 1), found, rest)
+    return _window(d_min, d_max)
 
 
-def _finish(n: int, out: list[tuple[int, int]], m: int) -> Factorization:
-    """The memoized factorization of n from its trial-division part `out`
-    and cofactor m.  m has no prime factor below _TRIAL_LIMIT, or none up
-    to sqrt(m); either way it is 1 or prime below _TRIAL_LIMIT**2 (the
-    first prime past _TRIAL_LIMIT is 2053)."""
-    if m >= _TRIAL_LIMIT**2:
-        out += sorted(Counter(_prime_factors(m)).items())
-    elif m > 1:
-        out.append((m, 1))
-    f = _memo[n] = Factorization(n, tuple(out))
-    if len(_memo) > _MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    return f
+def _window(d_min: int, d_max: int) -> Iterator[Factorization]:
+    """factorize_window(d_min, d_max) past its range check."""
+    for lo in range(d_min, d_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, d_max)
+        rest = list(range(lo, hi + 1))
+        found: list[list[tuple[int, int]]] = [[] for _ in rest]
+        top = hi
+        for p in _TRIAL_PRIMES:
+            if p * p > top:
+                break
+            for i in range(-lo % p, len(rest), p):
+                m, k = rest[i] // p, 1
+                while m % p == 0:
+                    m //= p
+                    k += 1
+                rest[i] = m
+                found[i].append((p, k))
+            if lo == hi:
+                top = rest[0]
+        for n, out, m in zip(range(lo, hi + 1), found, rest):
+            if m >= _TRIAL_SQUARE:
+                out += sorted(Counter(_prime_factors(m)).items())
+            elif m > 1:
+                out.append((m, 1))
+            f = _memo[n] = _proved(n, tuple(out))
+            if len(_memo) > _MEMO_SIZE:
+                del _memo[next(iter(_memo))]
+            yield f
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -190,6 +191,47 @@ def test_one_level_window_stops_at_the_square_root_of_its_cofactor(monkeypatch):
     monkeypatch.setattr(arith, "_memo", {})
     assert factorize(2**40).factors == ((2, 40),)
     assert primes.taken <= 2
+
+
+def test_factorize_window_across_block_edges():
+    # Windows of _BLOCK + 1 and 2 * _BLOCK + 2 levels: the first ends in a
+    # one-level block, and the second crosses two block edges.
+    block = arith._BLOCK
+    for lo, hi in ((5, 5 + block), (2**22 - block - 1, 2**22 + block)):
+        expected = [factorize(d) for d in range(lo, hi + 1)]
+        got = list(factorize_window(lo, hi))
+        assert got == expected, (lo, hi)
+        assert [f.divisors for f in got] == [f.divisors for f in expected]
+
+
+def test_one_level_windows_at_the_block_size():
+    spf = sieve_smallest_factor(arith._BLOCK + 1)
+    for d in (arith._BLOCK - 1, arith._BLOCK, arith._BLOCK + 1):
+        (f,) = factorize_window(d, d)
+        assert f == factorize(d) and f.factors == factorize_via_sieve(d, spf)
+
+
+def test_window_factorizations_equal_checked_ones():
+    # The window builds its results without the constructor's checks; each
+    # is what the checked constructor makes of the same factors, and is
+    # the memo's entry for its level when it is handed out.
+    for f in factorize_window(1, 10**5):
+        checked = Factorization(f.n, f.factors)
+        assert (f, f.divisors, hash(f)) == (checked, checked.divisors, hash(checked))
+        assert factorize(f.n) is f
+
+
+def test_window_holds_one_block_before_its_first_level():
+    tracemalloc.start()
+    try:
+        first = next(factorize_window(1, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == Factorization(1, ())
+    # One block of 2**14 levels peaks near 3.6 MB; the whole window's
+    # lists, built before the first level, peaked near 247 MB.
+    assert peak < 8 << 20
 
 
 def test_factorize_window_rejects_bad_ranges():

@@ -106,6 +106,27 @@ def test_table_json_streams_under_a_tight_address_space():
                         "fm_number": "2", "fricke_index": "2"}
 
 
+def _limit_address_space_to_75_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (75 << 20, 75 << 20))
+
+
+def test_table_csv_holds_one_block_under_a_tight_address_space():
+    # 10**5 levels of CSV: with the window factorized one block at a time
+    # and each row a tuple of str, the run needs about 60 MiB of address
+    # space; with the whole window's trial-division lists built before the
+    # first row, it needs about 91 MiB and ends in a MemoryError traceback
+    # (Python 3.11, x86_64)
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**5)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space_to_75_mib,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 10**5 + 1
+    assert lines[-1] == "100000,2,4,2,2"
+
+
 def test_table_window_limit_is_checked_before_any_work(capsys, monkeypatch):
     windows = []
     monkeypatch.setattr("k3fm.cli.factorize_window",

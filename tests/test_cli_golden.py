@@ -295,8 +295,15 @@ CASES = {
 }
 
 
-def _run(capsys, monkeypatch, argv, stdin):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+def _set_columns(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)  # argparse wraps usage to this width
+
+
+def _run(capsys, monkeypatch, argv, stdin, columns="80"):
+    _set_columns(monkeypatch, columns)
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv.split())
@@ -308,6 +315,27 @@ def _run(capsys, monkeypatch, argv, stdin):
 def test_cli_golden(case, capsys, monkeypatch):
     argv, stdin, code, err, digest = CASES[case]
     assert _run(capsys, monkeypatch, argv, stdin) == (code, err, digest)
+
+
+USAGE_CASES = sorted(case for case, (_, _, _, err, _) in CASES.items()
+                     if err.startswith("usage:"))
+
+
+@pytest.mark.parametrize("columns", ["40", "200", None])
+def test_usage_and_help_do_not_follow_the_terminal(columns, capsys, monkeypatch):
+    # argparse wraps usage and help to COLUMNS (or the terminal) unless the
+    # parser fixes a width; the CLI fixes the one COLUMNS=80 gives.
+    assert USAGE_CASES == ["unknown-subcommand", "verify-bad-format"]
+    for case in USAGE_CASES:
+        argv, stdin, code, err, digest = CASES[case]
+        assert _run(capsys, monkeypatch, argv, stdin, columns) == (code, err, digest)
+    _set_columns(monkeypatch, "80")
+    assert main(["table", "--help"]) == 0
+    want = capsys.readouterr()
+    assert want.out.startswith("usage: k3fm table [-h]") and want.err == ""
+    _set_columns(monkeypatch, columns)
+    assert main(["table", "--help"]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_cli_golden_non_utf8_file(tmp_path, capsys, monkeypatch):
