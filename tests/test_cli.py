@@ -127,6 +127,28 @@ def test_table_csv_holds_one_block_under_a_tight_address_space():
     assert lines[-1] == "100000,2,4,2,2"
 
 
+def _limit_address_space_to_65_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (65 << 20, 65 << 20))
+
+
+def test_table_json_holds_no_row_dicts_under_a_tight_address_space():
+    # 10**5 levels of JSON: with one row dict alive at a time, the run needs
+    # about 57 MiB of address space, as CSV does; with a dict built for every
+    # held row before the first is written, it needs about 73 MiB and ends in
+    # a MemoryError traceback (Python 3.11, x86_64)
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**5),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space_to_65_mib,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = json.loads(proc.stdout)["rows"]
+    assert len(rows) == 10**5
+    assert rows[-1] == {"d": "100000", "omega": "2", "exact_divisors": "4",
+                        "fm_number": "2", "fricke_index": "2"}
+
+
 def test_table_window_limit_is_checked_before_any_work(capsys, monkeypatch):
     windows = []
     monkeypatch.setattr("k3fm.cli.factorize_window",
