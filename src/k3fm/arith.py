@@ -52,6 +52,9 @@ class Factorization:
             prod *= p**k if k < 64 else FACTORIZE_BOUND
             if prod > self.n:  # stop before a long tuple of factors is read
                 break
+            # p <= n < FACTORIZE_BOUND here, where _is_prime is a proof past 37
+            if not (p in _SMALL_PRIMES if p < _TRIAL_LIMIT else _is_prime(p)):
+                raise ValueError("factors must be sorted prime powers")
         if prod != self.n:
             raise ValueError(f"factors do not multiply to {self.n}")
         object.__setattr__(self, "divisors", _exact_divisors(self.factors))
@@ -116,6 +119,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
+_SMALL_PRIMES = frozenset(_TRIAL_PRIMES)  # _is_prime answers False up to 37
 
 
 # Callers that hold a level's Factorization read its facts off it; the

@@ -7,7 +7,7 @@ with a mandatory header row.  Nothing reads the environment, so a fixed
 seed reproduces a verification report byte for byte.
 
 Exit codes: 0 success, 1 verification failures, 2 usage error,
-3 classification failure, 4 parse error.
+3 classification failure, 4 parse error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_str
@@ -27,7 +28,7 @@ from .errors import K3FMError
 from .fmcalc import induced_transform, partner_census, partner_representatives
 from .lattice import discriminant_unit, is_orientation_preserving, isometry_from_json
 from .modgroup import al_from_json, al_to_json, fricke_coset_count, is_fricke
-from .verify import CSV_HEADER, VerifyConfig, _flag, render, run_verify
+from .verify import VerifyConfig, run_verify
 
 __all__ = ["main"]
 
@@ -54,12 +55,14 @@ def _json_float(x: float) -> str:
     return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
 
 
-# The JSON text of a scalar, by its exact type; a subclass is refused.
+# The JSON text of a scalar, by its exact type; a subclass is refused.  CSV
+# and text spell a bool as JSON does, with _flag.
+_flag = {True: "true", False: "false"}.__getitem__
 _JSON_LEAVES = {
     str: _json_str,
     int: int.__repr__,
     float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _flag,
     type(None): lambda _: "null",
 }
 
@@ -127,10 +130,9 @@ _TABLE_MAX_LEVELS = 10**6
 
 
 def _table_row(f: Factorization) -> tuple[str, ...]:
-    # fricke_coset_count(d) is the cross-check's second computation, and
-    # bench/tests counts the factorize calls it makes over a table.  A tuple
-    # of str is untracked by the garbage collector, so the rows held over a
-    # large window add nothing to its full collections.
+    # fricke_coset_count(d) finds f in factorize's memo (bench/tests counts
+    # that call).  A tuple of str is untracked by the garbage collector, so
+    # the rows held over a large window add nothing to its full collections.
     d = f.n
     fm_number = len(partner_representatives(f))
     if fm_number != fricke_coset_count(d):
@@ -170,11 +172,11 @@ def _cmd_partners(args) -> int:
           ["d", "r", "moduli", "fine", "coset_level", "a", "b", "c", "e"],
           ([str(args.d), e["r"], e["moduli"], _flag(e["fine"]), e["coset_level"],
             *e["image"]["abce"]] for e in labels),
-          [f"d={args.d}  fm_number={fm_number}"] + [
+          itertools.chain([f"d={args.d}  fm_number={fm_number}"], (
               f"  {e['moduli']}  r={e['r']}  image level {e['coset_level']}"
               f"  (a,b,c,e)=({','.join(e['image']['abce'])})"
               f"  {'fine' if e['fine'] else 'not fine'}"
-              for e in labels])
+              for e in labels)))
     return 0
 
 
@@ -223,15 +225,39 @@ def _cmd_classify(args) -> int:
     except (ValueError, TypeError) as exc:
         raise _Exit(4, f"malformed input: {exc}") from None
 
-    row = [record["s"], _flag(record["fricke"]), record["discriminant_unit"],
-           _flag(record["orientation"])]
-    header = ["s", "fricke", "discriminant_unit", "orientation"]
-    _emit(args.format, record, header, [row],
-          [" ".join(f"{k}={v}" for k, v in zip(header, row))])
+    row = [_flag(v) if type(v) is bool else v for v in record.values()]
+    _emit(args.format, record, list(record), [row],
+          [" ".join(f"{k}={v}" for k, v in zip(record, row))])
     return 0
 
 
 # --------------------------------------------------------------- verify
+
+
+def _worst(level: dict) -> float:
+    analytic = level["analytic"]
+    return max(analytic["max_action_defect"], analytic["max_charge_defect"],
+               analytic["max_equivariance_defect"])
+
+
+def _verify_rows(report: dict) -> Iterator[tuple[str, ...]]:
+    """The CSV rows of a `run_verify` report, four per level."""
+    for level in report["levels"]:
+        d, census, analytic = level["d"], level["census"], level["analytic"]
+        failures, transforms = level["correspondence"]["failures"], level["transforms"]
+        yield d, "correspondence", _flag(not failures), f"failures={len(failures)}"
+        yield d, "census", _flag(census["ok"]), f"fm_number={census['fm_number']}"
+        yield (d, "transforms", _flag(all(t["ok"] for t in transforms)),
+               f"count={len(transforms)}")
+        yield d, "analytic", _flag(analytic["ok"]), f"max_defect={_worst(level)!r}"
+
+
+def _verify_text(report: dict) -> Iterator[str]:
+    """The text lines of a `run_verify` report, one per level and a total."""
+    for level in report["levels"]:
+        status = f"{level['failures']} failures" if level["failures"] else "ok"
+        yield f"d={level['d']}: {status} (worst analytic defect {_worst(level)!r})"
+    yield f"total failures: {report['total_failures']}"
 
 
 def _cmd_verify(args) -> int:
@@ -240,8 +266,8 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise _Exit(2, str(exc)) from None
     report, code = run_verify(config)
-    rows, text = ((), ()) if args.format == "json" else render(report)
-    _emit(args.format, report, CSV_HEADER, rows, text)
+    _emit(args.format, report, ["d", "check", "ok", "detail"], _verify_rows(report),
+          _verify_text(report))
     return code
 
 
@@ -305,7 +331,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader is gone: the exit flush goes to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

@@ -3,9 +3,9 @@ tying the 2x2 and 3x3 pictures together through the tube domain.
 
 Exactness lives in the other modules; this one evaluates the objects it is
 handed (an element, a transform, a lift, an image point), with `mobius`
-the only place a square root is taken, and measures agreement with
-relative tolerances, 1e-12 for local arithmetic and 1e-9 for composed
-pipelines.
+the only place a square root is taken.  It applies no tolerance: `verify`
+compares the action defect (relative) and the charge and equivariance
+defects (absolute) with its `--tol`.
 """
 
 from __future__ import annotations

@@ -135,8 +135,8 @@ def is_fricke(w: ALElement) -> bool:
 def fricke_coset_count(d: int) -> int:
     """Number of cosets of Fr_d in AL_d, i.e. of classes {s, d/s}: by
     Lagrange, |AL_d/Gamma0(d)| = 2**omega(d) over |Fr_d/Gamma0(d)| = |{1, d}|.
-    It takes d, not a caller's Factorization, so the census checks the
-    partner count against a second computation."""
+    The census compares it with the partner count, the r <= d/r among the
+    same exact divisors, which a caller's d finds in factorize's memo."""
     return len(exact_divisor_values(d)) // len({1, d})
 
 

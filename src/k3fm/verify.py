@@ -5,7 +5,7 @@ the sampled lift/descend correspondence on every coset, the partner census
 against the Fricke coset index and 2^(omega-1), the level each canonical
 transform's image descends to, and the analytic defects on sampled points
 of the upper half plane.  `run_verify` returns the report and its exit
-code; `render` gives the report's CSV rows and text lines.
+code; the CLI lays it out.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .halfplane import (
 )
 from .modgroup import fricke_coset_count, random_al
 
-__all__ = ["CSV_HEADER", "MAX_SAMPLED_ELEMENTS", "VerifyConfig", "render", "run_verify"]
-
-CSV_HEADER = ["d", "check", "ok", "detail"]
+__all__ = ["MAX_SAMPLED_ELEMENTS", "VerifyConfig", "run_verify"]
 
 # Most coset elements one run may sample, samples * sum of 2**omega(d) over
 # its levels.  Per-level work (factorization, the per-divisor transforms and
@@ -82,19 +80,14 @@ class VerifyConfig:
                              f"got at least {sampled}")
 
 
-def _flag(x: bool) -> str:
-    return "true" if x else "false"
-
-
 def _sample_point(rng: random.Random) -> HalfPlanePoint:
     return HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
 
 
 def _verify_level(level: Factorization, config: VerifyConfig,
                   rng: random.Random) -> dict:
-    # verify_correspondence (acceptance criterion 3 calls it by d) and
-    # fricke_coset_count (the census's second computation) keep their int
-    # argument; both find level in factorize's memo.
+    # verify_correspondence and fricke_coset_count take d (acceptance
+    # criterion 3 calls the first by d) and find level in factorize's memo.
     d, divisors = level.n, level.divisors
     sampled = verify_correspondence(d, config.samples_per_coset, rng)
 
@@ -168,25 +161,3 @@ def run_verify(config: VerifyConfig) -> tuple[dict, int]:
     }
     return report, 0 if total == 0 else 1
 
-
-def render(report: dict) -> tuple[list[list[str]], list[str]]:
-    """The CSV rows (under CSV_HEADER, four per level) and the text lines
-    of a `run_verify` report."""
-    rows, text = [], []
-    for level in report["levels"]:
-        d, corr, analytic = level["d"], level["correspondence"], level["analytic"]
-        worst = max(analytic["max_action_defect"], analytic["max_charge_defect"],
-                    analytic["max_equivariance_defect"])
-        rows += [
-            [d, "correspondence", _flag(not corr["failures"]),
-             f"failures={len(corr['failures'])}"],
-            [d, "census", _flag(level["census"]["ok"]),
-             f"fm_number={level['census']['fm_number']}"],
-            [d, "transforms", _flag(all(t["ok"] for t in level["transforms"])),
-             f"count={len(level['transforms'])}"],
-            [d, "analytic", _flag(analytic["ok"]), f"max_defect={worst!r}"],
-        ]
-        status = "ok" if level["failures"] == 0 else f"{level['failures']} failures"
-        text.append(f"d={d}: {status} (worst analytic defect {worst!r})")
-    text.append(f"total failures: {report['total_failures']}")
-    return rows, text

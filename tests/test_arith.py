@@ -251,6 +251,18 @@ def test_factorization_invariants_enforced():
         Factorization("6", ((2, 1), (3, 1)))  # n not an int
 
 
+@pytest.mark.parametrize("n, factors", [
+    (30, ((2, 1), (15, 1))),  # 30 has 8 exact divisors, not the 4 of (2, 15)
+    (4, ((4, 1),)),
+    (2 * 4096, ((2, 1), (4096, 1))),  # even, past the trial-division primes
+    (2 * 2053 * 2063, ((2, 1), (2053 * 2063, 1))),
+    (3215031751, ((3215031751, 1),)),  # a strong pseudoprime to 2, 3, 5 and 7
+])
+def test_factorization_refuses_composite_factors(n, factors):
+    with pytest.raises(ValueError, match="sorted prime powers"):
+        Factorization(n, factors)
+
+
 FIRST_16_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 

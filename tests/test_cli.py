@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -535,10 +536,12 @@ def test_verify_json_renders_no_csv_or_text(capsys, monkeypatch):
     args = ("verify", "--d-max", "12", "--samples", "2")
     want = run_cli(capsys, *args)
 
-    def refuse(report):
+    def refuse(report):  # a generator, as the renderers are: raises once read
         raise AssertionError("render called")
+        yield
 
-    monkeypatch.setattr("k3fm.cli.render", refuse)
+    monkeypatch.setattr("k3fm.cli._verify_rows", refuse)
+    monkeypatch.setattr("k3fm.cli._verify_text", refuse)
     assert run_cli(capsys, *args, "--format", "json") == want
     for fmt in ("csv", "text"):
         with pytest.raises(AssertionError, match="render called"):
@@ -564,6 +567,23 @@ def test_verify_refuses_a_negative_seed_before_any_work(capsys, monkeypatch):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("d_max, first", [(20000, b"{\n"), (3, b"")], ids=["large", "small"])
+def test_closed_stdout_exits_141_without_a_traceback(d_max, first, unbuffered):
+    # The reader keeps the first line of a report of several megabytes, as
+    # `| head -1` does, or reads none of a small one, as `| true` does, and
+    # closes the pipe; a shell reports 141 for `cat` in the same spot.  A
+    # small report reaches a buffered stdout's pipe only when it is flushed.
+    argv = [sys.executable, "-m", "k3fm", "table", "--d-max", str(d_max), "--format", "json"]
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        got = proc.stdout.readline() if first else b""
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (got, proc.returncode, err) == (first, 141, b"")
 
 
 def test_module_entry_point_runs():

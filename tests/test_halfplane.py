@@ -16,7 +16,7 @@ from k3fm.halfplane import (
     mobius,
 )
 from k3fm.lattice import IsometryN
-from k3fm.modgroup import al_identity, al_mul, base_element, random_al, translation
+from k3fm.modgroup import ALElement, al_identity, al_mul, base_element, random_al, translation
 
 LOCAL_TOL = 1e-12
 PIPELINE_TOL = 1e-9
@@ -281,3 +281,22 @@ def test_equivariance_defect_matches_the_generator_form_bit_for_bit():
                         assert _outcome(equivariance_defect, w, z, h) == want, (d, w, z, h)
                         compared += 1
     assert compared >= 1000
+
+
+_T62 = induced_transform(6, 2)
+
+
+@pytest.mark.parametrize("evaluate, message", [
+    (lambda: mobius(base_element(6, 6), HalfPlanePoint(0.0, 1e-200)), "denominator vanished"),
+    (lambda: mobius(ALElement(6, 1, 1, 0, 1, 1), HalfPlanePoint(1e200, 1.0)),
+     "collapsed onto the real axis"),
+    (lambda: induced_action(_T62, HalfPlanePoint(_T62.n_src / _T62.rank, 1e-301)),
+     "at its pole"),
+    (lambda: induced_action(_T62, HalfPlanePoint(1e200, 1.0)), "left the upper half plane"),
+    (lambda: equivariance_defect(al_identity(6), HalfPlanePoint(0.0, 0.1),
+                                 IsometryN(6, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))),
+     "projectivization degenerated"),
+])
+def test_numerical_poles_raise(evaluate, message):
+    with pytest.raises(NumericalPole, match=message):
+        evaluate()

@@ -2,8 +2,9 @@
 re-exports is in the `__all__` of the module that defines it, every
 function the benchmark tracer wraps is still there to wrap, no module
 imports a name it neither reads nor exports, no private module-level name
-and no public one goes unread, no default goes unset by every caller, and
-no f-string lacks a placeholder."""
+and no public one goes unread, no default goes unset by every caller, no
+f-string lacks a placeholder, and no module imports another's private
+name."""
 
 import ast
 import importlib
@@ -123,6 +124,32 @@ def test_no_unused_private_names():
                        if name.startswith("_") and not name.startswith("__")
                        and reads[name] - own[name] < 1]
     assert not unused, unused
+
+
+# Private names one k3fm module may import from another, with the reason.
+PRIVATE_IMPORTS_ALLOWED = {
+    "_range_problem": "arith's range contract, which callers check before "
+                      "they build a window",
+}
+
+
+def test_no_private_cross_module_imports():
+    """No module of the package imports an underscore name from another
+    (`from .x import _y`): a private name is its module's own business.
+    The exceptions are listed, with their reasons, in
+    PRIVATE_IMPORTS_ALLOWED, and each of them is still imported somewhere."""
+    src = Path(k3fm.__file__).resolve().parent
+    imported = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "k3fm"):
+                imported |= {(path.name, a.name) for a in node.names
+                             if a.name.startswith("_")}
+    assert {name for _, name in imported} >= set(PRIVATE_IMPORTS_ALLOWED)
+    flagged = sorted(pair for pair in imported
+                     if pair[1] not in PRIVATE_IMPORTS_ALLOWED)
+    assert not flagged, flagged
 
 
 # Public names that no module, benchmark file or README example reads.
