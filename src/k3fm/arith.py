@@ -122,24 +122,20 @@ _TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
 _SMALL_PRIMES = frozenset(_TRIAL_PRIMES)  # _is_prime answers False up to 37
 
 
-# Callers that hold a level's Factorization read its facts off it; the
-# int-keyed lookups that follow it (fricke_coset_count(d),
-# verify_correspondence(d), exact_divisor_values(d)) find it here, since
-# factorize and factorize_window put each result in.  It keeps the last
-# _MEMO_SIZE results, keyed by plain ints only.
-_MEMO_SIZE = 32
-_memo: dict[int, Factorization] = {}
+# The level _window last yielded (level 1 before any): the census index
+# fricke_coset_count(d) that follows a window's level finds it here.  It is
+# set in place, so module attributes keep their identity (bench/tests).
+_last: list[Factorization] = [_proved(1, ())]
 
 
 def factorize(n: int) -> Factorization:
-    """Exact factorization of 1 <= n < FACTORIZE_BOUND: the memoized result,
-    or the one-level window factorize_window(n, n).  A bool is answered as
-    the plain int it equals (True == 1 with the same hash), and the window
-    stores the plain int, so a bool never stands in the memo for 1."""
+    """Exact factorization of 1 <= n < FACTORIZE_BOUND: the level a window
+    last yielded if its n is n, else the one level of factorize_window(n, n),
+    whose n is a plain int even when a bool is passed."""
     if not isinstance(n, int):  # a float would reach range() as a TypeError
         raise ValueError("factorize requires a positive integer")
-    if (hit := _memo.get(n)) is not None:
-        return hit
+    if (last := _last[0]).n == n:
+        return last
     return next(factorize_window(n, n))
 
 
@@ -152,8 +148,8 @@ def factorize_window(d_min: int, d_max: int) -> Iterator[Factorization]:
     composite is split by a deterministic Miller-Rabin test and
     Pollard-Brent rho.  The range is checked on the call.  A block's pass
     runs when the iterator reaches the block, and each factorization is
-    finished, and put in factorize's memo, as the iterator reaches it, so a
-    window holds one block at a time."""
+    finished as the iterator reaches it, so a window holds one block at a
+    time."""
     if (problem := _range_problem(d_min, d_max)) is not None:
         raise ValueError(problem)
     return _window(d_min, d_max)
@@ -183,9 +179,7 @@ def _window(d_min: int, d_max: int) -> Iterator[Factorization]:
                 out += sorted(Counter(_prime_factors(m)).items())
             elif m > 1:
                 out.append((m, 1))
-            f = _memo[n] = _proved(n, tuple(out))
-            if len(_memo) > _MEMO_SIZE:
-                del _memo[next(iter(_memo))]
+            f = _last[0] = _proved(n, tuple(out))
             yield f
 
 
@@ -252,9 +246,8 @@ def is_exact_divisor(s: int, d: int) -> bool:
 
 def exact_divisor_values(d: int) -> tuple[int, ...]:
     """All s with s || d, ascending; there are 2**omega(d) of them.  They
-    are factorize(d).divisors: a lookup by d that follows the caller's own
-    factorization is a memo hit, and factorize refuses what is not a
-    positive integer below 2**64."""
+    are factorize(d).divisors, and factorize refuses what is not a positive
+    integer below 2**64."""
     return factorize(d).divisors
 
 

@@ -7,7 +7,8 @@ with a mandatory header row.  Nothing reads the environment, so a fixed
 seed reproduces a verification report byte for byte.
 
 Exit codes: 0 success, 1 verification failures, 2 usage error,
-3 classification failure, 4 parse error, 141 stdout closed by its reader.
+3 classification failure, 4 parse error, 141 stdout closed (by its reader,
+or before the run).
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def _emit(fmt: str, obj, header: list[str], rows, text) -> None:
     and `rows` as RFC-4180 CSV, or the lines of `text`.  Only the chosen
     one of `rows` and `text` is iterated, so both may be lazy, and so may
     the arrays of `obj` (see `_json`)."""
+    if sys.stdout is None:  # fd 1 was closed before the run
+        raise BrokenPipeError("stdout is closed")
     if fmt == "json":
         parts: list[str] = []
         _json(obj, parts, "\n")
@@ -130,7 +133,7 @@ _TABLE_MAX_LEVELS = 10**6
 
 
 def _table_row(f: Factorization) -> tuple[str, ...]:
-    # fricke_coset_count(d) finds f in factorize's memo (bench/tests counts
+    # fricke_coset_count(d) finds f in factorize's slot (bench/tests counts
     # that call).  A tuple of str is untracked by the garbage collector, so
     # the rows held over a large window add nothing to its full collections.
     d = f.n
@@ -327,17 +330,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # help or usage is written by now
+            code = int(exc.code) if exc.code else 0
+        else:
+            code = args.func(args)
+        if sys.stdout is not None:  # with fd 1 closed, help went to stderr
+            sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except BrokenPipeError:
         # The reader is gone: the exit flush goes to the null device instead.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 
-from .arith import exact_divisor_values, is_exact_divisor
+from .arith import Factorization, is_exact_divisor
 from .errors import K3FMError, NotAnIsometry, NotInImage
 from .lattice import (
     IsometryN,
@@ -137,18 +137,18 @@ def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
 
 
 def verify_correspondence(
-    d: int, samples_per_coset: int, rng: random.Random
+    level: Factorization, samples_per_coset: int, rng: random.Random
 ) -> tuple[tuple[dict, str], ...]:
-    """Run check_sample on random elements of every coset of AL_d; an
-    empty tuple means every check passed.
+    """Run check_sample on random elements of every coset of AL_d, d =
+    level.n; an empty tuple means every check passed.
 
     Failures are data, not exceptions: each one is the offending element
     (wire form) and the name of the check it failed.
     """
     failures: list[tuple[dict, str]] = []
-    for s in exact_divisor_values(d):
+    for s in level.divisors:
         for _ in range(samples_per_coset):
-            w = random_al(d, s, rng)
+            w = random_al(level.n, s, rng)
             for name in check_sample(w):
                 failures.append((al_to_json(w), name))
     return tuple(failures)

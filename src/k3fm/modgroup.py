@@ -136,7 +136,7 @@ def fricke_coset_count(d: int) -> int:
     """Number of cosets of Fr_d in AL_d, i.e. of classes {s, d/s}: by
     Lagrange, |AL_d/Gamma0(d)| = 2**omega(d) over |Fr_d/Gamma0(d)| = |{1, d}|.
     The census compares it with the partner count, the r <= d/r among the
-    same exact divisors, which a caller's d finds in factorize's memo."""
+    same exact divisors, which factorize(d) returns from its last-level slot."""
     return len(exact_divisor_values(d)) // len({1, d})
 
 

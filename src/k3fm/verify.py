@@ -86,10 +86,8 @@ def _sample_point(rng: random.Random) -> HalfPlanePoint:
 
 def _verify_level(level: Factorization, config: VerifyConfig,
                   rng: random.Random) -> dict:
-    # verify_correspondence and fricke_coset_count take d (acceptance
-    # criterion 3 calls the first by d) and find level in factorize's memo.
     d, divisors = level.n, level.divisors
-    sampled = verify_correspondence(d, config.samples_per_coset, rng)
+    sampled = verify_correspondence(level, config.samples_per_coset, rng)
 
     fm_number = len(partner_representatives(level))
     formula = 1 if d == 1 else 2 ** (level.omega - 1)

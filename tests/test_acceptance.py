@@ -93,7 +93,7 @@ def test_criterion_3_correspondence_forward_backward():
     rng = random.Random(20260802)
     for d in D_SET:
         failures.extend((d, element, check)
-                        for element, check in verify_correspondence(d, 100, rng))
+                        for element, check in verify_correspondence(factorize(d), 100, rng))
     _finish(3, "lift/descend correspondence", failures, started, budget=30.0)
 
 

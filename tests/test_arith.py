@@ -161,8 +161,8 @@ def test_factorize_window_matches_factorize():
     # cofactor; a wider window strides on to sqrt(d_max).  This compares
     # the two stopping rules.
     # Consecutive windows of random width cover 1..200 000.  Each window's
-    # per-d factorizations are taken first: the memo keeps only the last
-    # few the window hands in, and the next window starts past them.
+    # per-d factorizations are taken first: factorize keeps only the last
+    # level a window hands out, and the next window starts past it.
     rng = random.Random(6)
     windows, lo = [], 1
     while lo <= 200_000:
@@ -188,7 +188,7 @@ def test_one_level_window_stops_at_the_square_root_of_its_cofactor(monkeypatch):
 
     primes = Counting(arith._TRIAL_PRIMES)
     monkeypatch.setattr(arith, "_TRIAL_PRIMES", primes)
-    monkeypatch.setattr(arith, "_memo", {})
+    monkeypatch.setattr(arith, "_last", [Factorization(1, ())])
     assert factorize(2**40).factors == ((2, 40),)
     assert primes.taken <= 2
 
@@ -214,7 +214,7 @@ def test_one_level_windows_at_the_block_size():
 def test_window_factorizations_equal_checked_ones():
     # The window builds its results without the constructor's checks; each
     # is what the checked constructor makes of the same factors, and is
-    # the memo's entry for its level when it is handed out.
+    # what factorize answers for its level when it is handed out.
     for f in factorize_window(1, 10**5):
         checked = Factorization(f.n, f.factors)
         assert (f, f.divisors, hash(f)) == (checked, checked.divisors, hash(checked))
@@ -346,8 +346,9 @@ def test_float_argument_not_served_from_int_cache():
         exact_divisor_values(6.0)
     with pytest.raises(ValueError):
         factorize(6.0)
-    # The caches key a bool (which passes the int check) like a float, and
-    # True == 1.0: only a typed cache keeps 1.0 from being served its entry.
+    # factorize's slot compares a level by value, a bool passes the int
+    # check, and True == 1 == 1.0: only that check keeps 1.0 from being
+    # served level 1.
     for f in (exact_divisor_values, factorize):
         f(True)
         with pytest.raises(ValueError):

@@ -586,6 +586,35 @@ def test_closed_stdout_exits_141_without_a_traceback(d_max, first, unbuffered):
     assert (got, proc.returncode, err) == (first, 141, b"")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]], ids=["main", "table"])
+def test_help_into_a_closed_pipe_exits_141(argv):
+    # The read end is closed before the child starts, so every write to the
+    # pipe fails; a buffered stdout holds the help until main flushes it.
+    r, w = os.pipe()
+    os.close(r)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "k3fm", *argv], stdout=w,
+                              stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["table", "--d-max", "3"], 141, b""),
+    (["verify", "--d-max", "2"], 141, b""),
+    (["table", "--d-min", "5", "--d-max", "2"], 2, b"error: invalid range [5, 2]\n"),
+    (["--help"], 0, cli._build_parser().format_help().encode()),
+], ids=["table", "verify", "usage", "help"])
+def test_closed_fd_1_exits_141_without_a_traceback(argv, code, err):
+    # With fd 1 closed at start-up, sys.stdout is None; a usage error still
+    # reports on stderr with its own code, and argparse writes help there.
+    proc = subprocess.run([sys.executable, "-m", "k3fm", *argv], stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", "1"],

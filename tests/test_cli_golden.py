@@ -101,8 +101,8 @@ CASES = {
     'verify-52-json': (
         'verify --d-min 52 --d-max 52 --samples 3', None, 0, '',
         'dca1dba386bfc678c2ac78c4e908d63220bb912c7d05397d8290b70a88c8a71a'),
-    # Sixty levels, more than factorize's 32-entry memo holds, so a run
-    # whose levels are factorized once per pass shows here.
+    # Sixty levels, each factorized once per pass and looked up again by
+    # the census right after the window yields it.
     'verify-60-json': (
         'verify --d-min 1 --d-max 60 --samples 2 --format json', None, 0, '',
         '8b38e01e992ef887c74fffd758c21c889000331d1557ca2bfd6d53bf79010671'),

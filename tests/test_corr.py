@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3fm.arith import exact_divisor_values
+from k3fm.arith import exact_divisor_values, factorize
 from k3fm.corr import (
     check_sample,
     descend,
@@ -138,16 +138,16 @@ def test_check_sample_names_each_failed_check():
         assert check_sample(w, half) == ("integral", "round_trip", "fricke_criterion")
 
 def test_verify_correspondence_trivial_level():
-    assert verify_correspondence(1, 20, random.Random(26)) == ()
+    assert verify_correspondence(factorize(1), 20, random.Random(26)) == ()
 
 
 def test_verify_correspondence_level_six():
-    assert verify_correspondence(6, 100, random.Random(27)) == ()
+    assert verify_correspondence(factorize(6), 100, random.Random(27)) == ()
 
 
 def test_verify_correspondence_deterministic():
-    a = verify_correspondence(12, 10, random.Random(5))
-    b = verify_correspondence(12, 10, random.Random(5))
+    a = verify_correspondence(factorize(12), 10, random.Random(5))
+    b = verify_correspondence(factorize(12), 10, random.Random(5))
     assert a == b
 
 

@@ -3,30 +3,33 @@ polynomials in (a, b, c, e, s, t) with d = s*t, so the properties the
 paper's surjection rests on are polynomial identities modulo the one
 relation a*e*s - b*c*t = 1 that every coset element satisfies.
 
-Polynomials are dicts from exponent tuples over (a, b, c, e, s, t) to
-integer coefficients.  Reduction rewrites a*e*s -> 1 + b*c*t until no monomial
+Polynomials are dicts from exponent tuples over (a, b, c, e, s, t, z) to
+integer coefficients, z the point of the upper half plane a transform acts on.  Reduction rewrites a*e*s -> 1 + b*c*t until no monomial
 holds a*e*s.  A single relation is its own Groebner basis, so the reduced
 form is a normal form: it is zero exactly when the polynomial lies in the
 ideal of the relation, and then the identity holds at every integer point
 of every coset of every level.  The symbolic matrix is tied to the code by
-evaluating it at seeded elements and comparing with `represent(w).m`.
+evaluating it at seeded elements and comparing with `represent(w).m`, and
+the symbolic rank and twists by evaluating them at the images of
+`induced_transform`, `compose` and `invert`.
 """
 
 import random
 
 from k3fm.arith import exact_divisor_values
 from k3fm.corr import represent
+from k3fm.fmcalc import compose, induced_transform, invert
 from k3fm.modgroup import base_element, random_al
 
-A, B, C, E, S, T = range(6)  # positions in an exponent tuple
+A, B, C, E, S, T, Z = range(7)  # positions in an exponent tuple
 
 
 def var(i):
-    return {tuple(int(j == i) for j in range(6)): 1}
+    return {tuple(int(j == i) for j in range(7)): 1}
 
 
 def const(k):
-    return {(0,) * 6: k} if k else {}
+    return {(0,) * 7: k} if k else {}
 
 
 def add(*ps):
@@ -53,7 +56,7 @@ def mul(*ps):
     return out
 
 
-a, b, c, e, s, t = map(var, range(6))
+a, b, c, e, s, t, z = map(var, range(7))
 d = mul(s, t)
 # a*e*s = 1 + b*c*t: the determinant identity of W_s at level d = s*t
 RELATION_RHS = add(const(1), mul(b, c, t))
@@ -155,3 +158,51 @@ def test_symbolic_lift_is_represent():
                 point = (w.a, w.b, w.c, w.e, w.s, w.d // w.s)
                 symbolic = tuple(tuple(evaluate(p, point) for p in row) for row in LIFT)
                 assert symbolic == represent(w).m, w
+
+
+# The image (1/sqrt(s)) * [[a*s, b], [c*d, e*s]] of a transform acts on z as
+# P/Q, and InducedTransform reads its rank and twists off the same entries.
+P = add(mul(a, s, z), b)
+Q = add(mul(c, d, z), mul(e, s))
+RANK = mul(c, c, t)
+N_SRC = neg(mul(c, e))
+N_TGT = mul(a, c)
+
+
+def charge_identity(n_src, n_tgt):
+    """d^2*(r*z - n_src)^2*(r*P - n_tgt*Q)^2 - r^2*Q^2 in normal form: zero
+    when Z_src(z)*Z_tgt(t(z)) = 1 at every z."""
+    source = add(mul(RANK, z), neg(n_src))
+    target = add(mul(RANK, P), neg(mul(n_tgt, Q)))
+    return reduce(add(mul(d, d, source, source, target, target), neg(mul(RANK, RANK, Q, Q))))
+
+
+def test_target_charge_is_minus_c():
+    assert reduce(add(mul(RANK, P), neg(mul(N_TGT, Q)), c)) == {}
+
+
+def test_source_charge_times_s_is_c_times_q():
+    # no relation needed: the two sides agree as polynomials
+    assert add(mul(s, add(mul(RANK, z), neg(N_SRC))), neg(mul(c, Q))) == {}
+
+
+def test_charge_identity_holds_for_every_transform():
+    assert charge_identity(N_SRC, N_TGT) == {}
+
+
+def test_charge_identity_refuses_shifted_twists():
+    # a check modulo translation, z -> z + 1, would let n_tgt + rank pass
+    assert charge_identity(add(N_SRC, const(1)), N_TGT) != {}
+    assert charge_identity(N_SRC, add(N_TGT, RANK)) != {}
+
+
+def test_symbolic_rank_and_twists_are_the_transforms():
+    for level in (1, 6, 30, 210, 2310, 510510):
+        canonical = [induced_transform(level, r) for r in exact_divisor_values(level)]
+        pool = canonical + [invert(x) for x in canonical]
+        pool += [compose(x, y) for x in pool for y in pool if x.source == y.target]
+        for x in pool:
+            w = x.image
+            point = (w.a, w.b, w.c, w.e, w.s, w.d // w.s, 0)
+            assert tuple(evaluate(p, point) for p in (RANK, N_SRC, N_TGT)) == (
+                x.rank, x.n_src, x.n_tgt), x
