@@ -71,7 +71,10 @@ def _exact_divisors(factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     divisors = [1]
     for p, k in factors:
         q = p**k
-        divisors += [v * q for v in divisors]
+        # An append loop over a copy: before Python 3.12 a comprehension is
+        # a function call of its own.
+        for v in divisors[:]:
+            divisors.append(v * q)
     divisors.sort()
     return tuple(divisors)
 

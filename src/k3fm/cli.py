@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import os
@@ -277,11 +276,20 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------- main
 
 
-# Usage and help are wrapped at the width argparse takes from COLUMNS=80,
-# so they never depend on the terminal (and no parser probes it).
-_Parser = functools.partial(
-    argparse.ArgumentParser,
-    formatter_class=functools.partial(argparse.HelpFormatter, width=78))
+class _Parser(argparse.ArgumentParser):
+    """Usage and help are wrapped at the width argparse takes from
+    COLUMNS=80, so they never depend on the terminal (and no parser probes
+    it).  argparse drops the error of its own writes; a write to stdout
+    lets it through, so that help into a closed pipe reaches main's 141."""
+
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(self.prog, width=78)
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ documented as the numerical shadow only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .arith import Factorization, factorize, is_exact_divisor, mod_inverse, star
@@ -68,10 +69,12 @@ def partner_representatives(level: Factorization) -> list[int]:
     """The representative r <= d/r of each partner class {r, d/r} of the
     level d = level.n, ascending: exactly one of r and d/r is at most
     sqrt(d) (they are equal only at d = 1), so keeping the exact divisors
-    with r*r <= d folds the pairs, and the ascending divisor list keeps them
-    in order.  The caller passes the factorization it already holds."""
-    d = level.n
-    return [r for r in level.divisors if r * r <= d]
+    with r*r <= d folds the pairs.  For integers r*r <= d exactly when
+    r <= isqrt(d), so the kept divisors are the prefix of the ascending
+    divisor tuple that bisection at isqrt(d) cuts off.  The caller passes
+    the factorization it already holds."""
+    divisors = level.divisors
+    return list(divisors[: bisect_right(divisors, math.isqrt(level.n))])
 
 
 def partner_census(d: int) -> tuple[PartnerLabel, ...]:

@@ -315,9 +315,11 @@ def exact_divisors_from_all_divisors(f):
 
 
 def test_factorization_divisors_against_brute_force():
-    by_sieve = exact_divisors_by_sieve(5000)
-    for d in range(1, 5001):
-        assert Factorization(d, factorize(d).factors).divisors == tuple(by_sieve[d])
+    # Every factorization shape up to 10**4, through the window's unchecked
+    # construction and through the checked constructor.
+    by_sieve = exact_divisors_by_sieve(10**4)
+    for f in factorize_window(1, 10**4):
+        assert f.divisors == Factorization(f.n, f.factors).divisors == tuple(by_sieve[f.n])
     # 2**64 - 1 = 3*5*17*257*641*65537*6700417; the last is the product of
     # the first 15 primes, the largest omega below 2**64.
     for n in (2**64 - 1, 9699690, 614889782588491410, 2**63, 2**30 * 3**18):

@@ -586,13 +586,17 @@ def test_closed_stdout_exits_141_without_a_traceback(d_max, first, unbuffered):
     assert (got, proc.returncode, err) == (first, 141, b"")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]], ids=["main", "table"])
-def test_help_into_a_closed_pipe_exits_141(argv):
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["--help"], ""), (["table", "--help"], ""),
+    (["--help"], "1"), (["table", "--help"], "1"),
+], ids=["main", "table", "main-unbuffered", "table-unbuffered"])
+def test_help_into_a_closed_pipe_exits_141(argv, unbuffered):
     # The read end is closed before the child starts, so every write to the
-    # pipe fails; a buffered stdout holds the help until main flushes it.
+    # pipe fails; a buffered stdout holds the help until main flushes it,
+    # and an unbuffered one fails inside argparse's own write.
     r, w = os.pipe()
     os.close(r)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
     try:
         proc = subprocess.run([sys.executable, "-m", "k3fm", *argv], stdout=w,
                               stderr=subprocess.PIPE, env=env)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from k3fm.arith import exact_divisor_values, factorize
+from k3fm.arith import exact_divisor_values, factorize, factorize_window
 from k3fm.corr import descend, represent
 from k3fm.errors import EndpointMismatch, InvalidLevel, LevelMismatch
 from k3fm.fmcalc import (
@@ -14,6 +14,7 @@ from k3fm.fmcalc import (
     invert,
     partner_census,
     partner_label,
+    partner_representatives,
     source_twist,
 )
 from k3fm.modgroup import (
@@ -67,6 +68,21 @@ def test_census_brute_force_and_formula():
         reps = folded_partner_reps(d)
         assert census == tuple(PartnerLabel(d, r) for r in reps)
         assert fricke_coset_count(d) == fricke_classes(d) == len(reps)
+
+
+def test_partner_representatives_is_the_fold_prefix():
+    # The bisected prefix against the fold it replaced, one comparison per
+    # divisor; the last three levels put isqrt at the top of the range: the
+    # omega-15 level, the largest prime below 2**64 and a square prime power.
+    levels = [*factorize_window(1, 10**4), *map(factorize, (
+        614889782588491410, 18446744073709551557, 4294967291**2))]
+    for f in levels:
+        reps = partner_representatives(f)
+        assert type(reps) is list
+        assert reps == [r for r in f.divisors if r * r <= f.n]
+    assert len(partner_representatives(levels[-3])) == 2**14
+    # a prime and a prime power have the exact divisors 1 and d only
+    assert [partner_representatives(f) for f in levels[-2:]] == [[1], [1]]
 
 
 def test_partner_label_canonical():

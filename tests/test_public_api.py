@@ -3,8 +3,8 @@ re-exports is in the `__all__` of the module that defines it, every
 function the benchmark tracer wraps is still there to wrap, no module
 imports a name it neither reads nor exports, no private module-level name
 and no public one goes unread, no default goes unset by every caller, no
-f-string lacks a placeholder, and no module imports another's private
-name."""
+f-string lacks a placeholder, no module imports another's private
+name, and every source file parses as Python 3.10."""
 
 import ast
 import importlib
@@ -263,3 +263,14 @@ def test_no_f_string_without_placeholder():
                  if isinstance(n, ast.JoinedStr) and id(n) not in specs
                  and not any(isinstance(v, ast.FormattedValue) for v in n.values)]
     assert not bare, bare
+
+
+def test_sources_parse_as_python_310():
+    """Every package, test and benchmark source parses with the grammar of
+    Python 3.10, the oldest that pyproject.toml admits, so newer syntax
+    (such as `except*`) fails here on whichever Python runs the tests."""
+    paths = [*ROOT.glob("src/k3fm/*.py"), *ROOT.glob("tests/*.py"),
+             *ROOT.glob("bench/**/*.py")]
+    assert len(paths) > 20
+    for path in sorted(paths):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
