@@ -4,8 +4,10 @@ tying the 2x2 and 3x3 pictures together through the tube domain.
 Exactness lives in the other modules; this one evaluates the objects it is
 handed (an element, a transform, a lift, an image point), with `mobius`
 the only place a square root is taken.  It applies no tolerance: `verify`
-compares the action defect (relative) and the charge and equivariance
-defects (absolute) with its `--tol`.
+compares the action defect (relative) and the equivariance defect
+(absolute) with its `--tol`, and decides the charge identity exactly in
+integers; `charge_product_defect` is its float picture, which cancels
+catastrophically at large d.
 """
 
 from __future__ import annotations

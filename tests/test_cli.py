@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import resource
@@ -7,13 +8,14 @@ import sys
 import pytest
 
 from k3fm import cli
-from k3fm.arith import factorize, factorize_window
+from k3fm.arith import exact_divisor_values, factorize, factorize_window
 from k3fm.cli import VerifyConfig, main, run_verify
 from k3fm.corr import represent, verify_correspondence
-from k3fm.fmcalc import partner_census
+from k3fm.fmcalc import induced_transform, partner_census
 from k3fm.halfplane import charge_product_defect, mobius
 from k3fm.lattice import isometry_to_json
 from k3fm.modgroup import al_to_json, base_element, fricke_coset_count
+from k3fm.verify import _charge_identity_holds
 
 
 def run_cli(capsys, *args):
@@ -366,6 +368,50 @@ def test_verify_absurd_tolerance_fails(capsys):
     )
     assert code == 1
     assert json.loads(out)["total_failures"] > 0
+
+
+@pytest.mark.parametrize("d, samples", [(9699690, 2), (18446744073709551557, 1)])
+def test_verify_certifies_levels_whose_float_charge_product_cancels(capsys, d, samples):
+    # The expanded charge product reads 0.19 at 9699690 and exactly 1.0 at
+    # this prime, against --tol 1e-9; the charge verdict is exact instead.
+    code, out, _ = run_cli(capsys, "verify", "--d-min", str(d), "--d-max", str(d),
+                           "--samples", str(samples))
+    assert code == 0
+    analytic = json.loads(out)["levels"][0]["analytic"]
+    assert analytic["ok"] is True
+    assert analytic["max_charge_defect"] > 1e-9  # still reported, as the float picture
+
+
+def _shifted(t, **by):
+    """A copy of the transform t with each named field moved by the amount
+    given, as a transform whose twists disagree with its image."""
+    out = copy.copy(t)
+    for name, amount in by.items():
+        object.__setattr__(out, name, getattr(t, name) + amount)
+    return out
+
+
+def test_charge_identity_holds_on_every_transform():
+    for d in [*range(1, 201), 2310, 510510, 9699690, 614889782588491410]:
+        for r in exact_divisor_values(d):
+            assert _charge_identity_holds(induced_transform(d, r)), (d, r)
+
+
+def test_charge_identity_refuses_shifted_twists():
+    for d in (1, 6, 30, 2310, 9699690):
+        for r in exact_divisor_values(d):
+            t = induced_transform(d, r)
+            assert not _charge_identity_holds(_shifted(t, n_src=1)), (d, r)
+            assert not _charge_identity_holds(_shifted(t, n_tgt=t.rank)), (d, r)
+
+
+def test_verify_charge_verdict_refuses_a_shifted_twist(monkeypatch):
+    # A tolerance no float defect reaches leaves the exact verdict to decide.
+    monkeypatch.setattr("k3fm.verify.induced_transform",
+                        lambda d, r: _shifted(induced_transform(d, r), n_src=1))
+    report, code = run_verify(VerifyConfig(1, 6, 2, tolerance=1e300))
+    assert code == 1
+    assert [level["analytic"]["ok"] for level in report["levels"]] == [False] * 6
 
 
 def test_verify_reports_each_correspondence_failure(capsys, monkeypatch):
