@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -63,12 +64,43 @@ def test_table_invalid_range(capsys):
     assert "invalid range" in err
 
 
-def test_table_cross_check_failure_exits_1(capsys, monkeypatch):
+def _disagree_at(monkeypatch, bad):
     monkeypatch.setattr("k3fm.cli.fricke_coset_count",
-                        lambda d: fricke_coset_count(d) + (d == 5))
+                        lambda d: fricke_coset_count(d) + (d == bad))
+
+
+def test_table_cross_check_failure_exits_1(capsys, monkeypatch):
+    # Each row is written as it is computed, so the rows before the level
+    # that fails are out when the error comes.
+    _disagree_at(monkeypatch, 5)
     code, out, err = run_cli(capsys, "table", "--d-min", "1", "--d-max", "8")
-    assert (code, out) == (1, "")
+    assert (code, out) == (1, "d,omega,exact_divisors,fm_number,fricke_index\r\n"
+                              "1,0,1,1,1\r\n2,1,2,1,1\r\n3,1,2,1,1\r\n4,1,2,1,1\r\n")
     assert err == "error: partner count and coset index disagree at d=5\n"
+
+
+def test_table_cross_check_failure_exits_1_in_text(capsys, monkeypatch):
+    _disagree_at(monkeypatch, 3)
+    code, out, err = run_cli(capsys, "table", "--d-max", "8", "--format", "text")
+    assert (code, out.splitlines()) == (1, [
+        "             d           omega  exact_divisors       fm_number    fricke_index",
+        "             1               0               1               1               1",
+        "             2               1               2               1               1",
+    ])
+    assert err == "error: partner count and coset index disagree at d=3\n"
+
+
+def test_table_cross_check_failure_leaves_no_json_document(capsys, monkeypatch):
+    # The failing level comes after batches of rows have gone out, so stdout
+    # holds a truncated prefix of the document.
+    _disagree_at(monkeypatch, 1500)
+    code, out, err = run_cli(capsys, "table", "--d-max", "2000", "--format", "json")
+    assert code == 1
+    assert err == "error: partner count and coset index disagree at d=1500\n"
+    assert out.startswith('{\n  "rows": [\n    {\n      "d": "1",')
+    assert '"d": "1500"' not in out
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
 
 
 def _limit_address_space():
@@ -93,8 +125,8 @@ def _limit_address_space_to_144_mib():
 
 
 def test_table_json_streams_under_a_tight_address_space():
-    # 10**5 levels of JSON: streamed, the run needs about 100 MiB of address
-    # space; encoded whole as by json.dumps, it needs about 200 MiB and ends
+    # 10**5 levels of JSON: streamed, the run needs about 26 MiB of address
+    # space; encoded whole as by json.dumps, it needs about 180 MiB and ends
     # in a MemoryError traceback from the encoder (Python 3.11, x86_64)
     proc = subprocess.run(
         [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**5),
@@ -114,11 +146,11 @@ def _limit_address_space_to_75_mib():
 
 
 def test_table_csv_holds_one_block_under_a_tight_address_space():
-    # 10**5 levels of CSV: with the window factorized one block at a time
-    # and each row a tuple of str, the run needs about 60 MiB of address
-    # space; with the whole window's trial-division lists built before the
-    # first row, it needs about 91 MiB and ends in a MemoryError traceback
-    # (Python 3.11, x86_64)
+    # 10**5 levels of CSV: with the window factorized one block at a time,
+    # the run needs about 26 MiB of address space; with the whole window's
+    # trial-division lists built before the first row, it needed about 91
+    # MiB while the rows were also held, and ended in a MemoryError
+    # traceback (Python 3.11, x86_64)
     proc = subprocess.run(
         [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**5)],
         capture_output=True, text=True, timeout=120,
@@ -136,9 +168,9 @@ def _limit_address_space_to_65_mib():
 
 def test_table_json_holds_no_row_dicts_under_a_tight_address_space():
     # 10**5 levels of JSON: with one row dict alive at a time, the run needs
-    # about 57 MiB of address space, as CSV does; with a dict built for every
-    # held row before the first is written, it needs about 73 MiB and ends in
-    # a MemoryError traceback (Python 3.11, x86_64)
+    # about 26 MiB of address space, as CSV does; with a dict built for every
+    # row before the first is written, it needs about 67 MiB and ends in a
+    # MemoryError traceback (Python 3.11, x86_64)
     proc = subprocess.run(
         [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**5),
          "--format", "json"],
@@ -150,6 +182,48 @@ def test_table_json_holds_no_row_dicts_under_a_tight_address_space():
     assert len(rows) == 10**5
     assert rows[-1] == {"d": "100000", "omega": "2", "exact_divisors": "4",
                         "fm_number": "2", "fricke_index": "2"}
+
+
+def _limit_address_space_to_64_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+
+@pytest.mark.parametrize("fmt, tail", [
+    ("csv", "300000,3,8,4,4\r\n"),
+    ("json", '{\n      "d": "300000",\n      "exact_divisors": "8",\n'
+             '      "fm_number": "4",\n      "fricke_index": "4",\n'
+             '      "omega": "3"\n    }\n  ]\n}\n'),
+], ids=["csv", "json"])
+def test_table_writes_each_row_as_it_is_computed(fmt, tail):
+    # 3 * 10**5 levels: with each row written as it is computed, the run
+    # needs about 26 MiB of address space, as at 10**5 levels; holding the
+    # rendered rows until the window has passed its cross-checks needs about
+    # 123 MiB and ends in a MemoryError traceback (Python 3.11, x86_64)
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(3 * 10**5),
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+        preexec_fn=_limit_address_space_to_64_mib,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(tail.encode())
+
+
+def test_table_reader_that_leaves_early_stops_the_run():
+    # `table --d-max 1000000 | head -1`: the first rows reach the pipe
+    # within a fraction of a second, and the next write after the reader
+    # has gone ends the run with 141; a window held until its last level
+    # was computed took about 8 s to write its header.
+    start = time.monotonic()
+    argv = [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", str(10**6)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert (header, proc.returncode, err) == (
+        b"d,omega,exact_divisors,fm_number,fricke_index\r\n", 141, b"")
+    assert time.monotonic() - start < 3.0
 
 
 def test_table_window_limit_is_checked_before_any_work(capsys, monkeypatch):
