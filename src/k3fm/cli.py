@@ -1,7 +1,8 @@
 """Command-line front end: census tables, partner listings, coset
 classification, and the `k3fm.verify` self-verification pipeline.
 
-Exact integers and rationals ride through JSON as decimal strings; floats
+Exact integers ride through JSON as decimal strings, and a 3x3 entry may
+be a rational "p/q" that reduces to one (a non-integral one exits 3); floats
 appear only in defect and tolerance fields.  CSV output is RFC-4180 framed
 with a mandatory header row.  Nothing reads the environment, so a fixed
 seed reproduces a verification report byte for byte.
@@ -185,6 +186,8 @@ def _cmd_partners(args) -> int:
 
 def _read_input(path: str | None) -> str:
     if path is None or path == "-":
+        if sys.stdin is None:  # fd 0 was closed before the run
+            raise OSError("stdin is closed")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -346,7 +349,11 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except _Exit as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # print would fall back to stdout
+            try:
+                print(f"error: {exc}", file=sys.stderr)
+            except OSError:  # fd 2 is closed: the exit code alone reports
+                pass
         return exc.code
     except BrokenPipeError:
         # The reader is gone: the exit flush goes to the null device instead.

@@ -6,9 +6,10 @@ is an identity rather than a rounding question.  `descend` inverts the lift
 by reading the only possible level off the corner entries,
 s = gcd(h11, h33, d), and then checking the full entry pattern at that level.
 `verify_correspondence` samples every coset of a level and certifies, at
-desk scale, that the lift is integral, Gram-preserving, orientation
-preserving, invertible by `descend`, and acts on the discriminant group by
-+-1 exactly on the Fricke cosets.
+desk scale, that the lift is Gram-preserving, orientation preserving,
+invertible by `descend`, and acts on the discriminant group by +-1 exactly
+on the Fricke cosets; `IsometryN` holds only integers, so integrality needs
+no check.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ def descend(g: IsometryN) -> ALElement:
     makes a and e prime to d/s, so s = gcd(h11, h33, d) is the only level
     whose entry pattern h can match.
     """
-    if not g.is_integral:
-        raise NotInImage("matrix is not integral")
     det = mat_det(g.m)
     if det not in (1, -1):
         raise NotInImage(f"determinant {det} is not +-1")
@@ -114,8 +113,6 @@ def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
         g = represent(w)
     d = w.d
     failed = []
-    if not g.is_integral:
-        failed.append("integral")
     try:
         if not is_orientation_preserving(g):  # runs the Gram test first
             failed.append("orientation")

@@ -27,7 +27,8 @@ class NotAnIsometry(K3FMError, ValueError):
 
 
 class NotIntegral(K3FMError, ValueError):
-    """Operation requires an integral matrix."""
+    """A 3x3 wire entry is a rational that is not an integer; lattice
+    matrices hold only integers."""
 
 
 class ActionNotDiagonal(K3FMError, ValueError):

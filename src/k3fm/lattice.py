@@ -5,23 +5,21 @@
 (signature (2,1)): exact isometry tests, the orientation test on the
 positive 2-plane, and the induced unit on the discriminant group Z/2d.
 
-Matrices are 3x3 tuples of exact numbers (int or Fraction); columns are the
-images of the basis vectors (e0, ell, e4) and matrices act on coordinate
-columns from the left.
+Matrices are 3x3 tuples of integers; columns are the images of the basis
+vectors (e0, ell, e4) and matrices act on coordinate columns from the left.
+A rational entry exists only on the wire: `isometry_from_json` reduces each
+one to an integer or refuses the matrix.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Union
+from dataclasses import dataclass
 
 from .errors import ActionNotDiagonal, NotAnIsometry, NotIntegral
 
 __all__ = [
-    "Exact",
     "Matrix",
     "IsometryN",
     "mat_neg",
@@ -33,23 +31,14 @@ __all__ = [
     "isometry_from_json",
 ]
 
-Exact = Union[int, Fraction]
-Matrix = tuple[tuple[Exact, Exact, Exact], ...]
-
-
-def _as_exact(x) -> Exact:
-    """Coerce a non-int to int or Fraction; floats are refused, exactness is
-    the point."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"expected an exact number, got {type(x).__name__}")
+Matrix = tuple[tuple[int, int, int], ...]
 
 
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_det(a: Matrix) -> Exact:
+def mat_det(a: Matrix) -> int:
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
@@ -59,13 +48,12 @@ def mat_det(a: Matrix) -> Exact:
 
 @dataclass(frozen=True)
 class IsometryN:
-    """A 3x3 exact-rational matrix acting on the lattice; whether it really
+    """A 3x3 integer matrix acting on the lattice; whether it really
     preserves the Gram form is a question (is_isometry), not an assumption.
-    `is_integral` says whether every entry is an int (bool included)."""
+    Entries are ints (a bool is one); anything else raises TypeError."""
 
     d: int
     m: Matrix
-    is_integral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or self.d < 1:
@@ -76,30 +64,16 @@ class IsometryN:
         if len(r0) != 3 or len(r1) != 3 or len(r2) != 3:
             raise ValueError("m must be 3x3")
         for x in (*r0, *r1, *r2):
-            if type(x) is not int:
-                break
-        else:  # every entry a plain int, as every lift: nothing to coerce
-            object.__setattr__(self, "m", (tuple(r0), tuple(r1), tuple(r2)))
-            object.__setattr__(self, "is_integral", True)
-            return
-        rows, integral = [], True
-        for row in self.m:
-            exact = []
-            for x in row:
-                if not isinstance(x, int):
-                    x = _as_exact(x)
-                    integral = integral and isinstance(x, int)
-                exact.append(x)
-            rows.append(tuple(exact))
-        object.__setattr__(self, "m", tuple(rows))
-        object.__setattr__(self, "is_integral", integral)
+            if not isinstance(x, int):
+                raise TypeError(f"expected an int entry, got {type(x).__name__}")
+        object.__setattr__(self, "m", (tuple(r0), tuple(r1), tuple(r2)))
 
 
 def is_isometry(g: IsometryN) -> bool:
     """Exact check of transpose(m) * Gram * m == Gram.  Entry (i, j) of the
     left side is the pairing <c_i, c_j> = 2d*c_i[1]*c_j[1] - c_i[0]*c_j[2]
     - c_i[2]*c_j[0] of columns i and j of m, so the images u, v, w of
-    (e0, ell, e4) must pair as the basis does; exact for int and Fraction."""
+    (e0, ell, e4) must pair as the basis does."""
     twod = 2 * g.d
     (u0, v0, w0), (u1, v1, w1), (u2, v2, w2) = g.m
     return (twod * u1 * w1 - u0 * w2 - u2 * w0 == -1
@@ -134,12 +108,10 @@ def discriminant_unit(g: IsometryN) -> int:
     discriminant group Z/2d; u is a unit with u^2 = 1 (mod 4d).
 
     The e0/e4 block of the Gram matrix is unimodular, so the discriminant
-    group is cyclic, generated by ell/2d.  For an integral isometry the e0
-    and e4 coefficients of g*ell must vanish mod 2d (asserted) and the unit
-    is the ell coefficient mod 2d.
+    group is cyclic, generated by ell/2d.  For an isometry the e0 and e4
+    coefficients of g*ell must vanish mod 2d (asserted) and the unit is the
+    ell coefficient mod 2d.
     """
-    if not g.is_integral:
-        raise NotIntegral("discriminant action requires an integral matrix")
     twod = 2 * g.d
     a0 = g.m[0][1]
     u = g.m[1][1] % twod
@@ -156,24 +128,32 @@ def discriminant_unit(g: IsometryN) -> int:
 
 
 def isometry_to_json(g: IsometryN) -> list:
-    """Row-major 3x3 array of rationals as strings (e.g. "7" or "1/6")."""
-    return [[str(Fraction(x)) for x in row] for row in g.m]
+    """Row-major 3x3 array of decimal integer strings (e.g. "7" or "-12")."""
+    return [[str(int(x)) for x in row] for row in g.m]
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _json_entry(x) -> Exact:
-    """A JSON integer (not a bool) or a rational string like "7" or "-1/6"."""
+def _json_entry(x) -> int | None:
+    """A JSON integer (not a bool) or a rational string like "7", "4/2" or
+    "-1/6", reduced exactly; None for a rational that is not an integer."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        return _as_exact(Fraction(x))
+        num, _, den = x.partition("/")
+        if not (den := int(den or 1)):
+            raise ValueError(f"zero denominator in {x!r}")
+        q, r = divmod(int(num), den)
+        return None if r else q
+    # The wording of the stdlib's rational parser, kept on stderr.
     raise ValueError(f"Invalid literal for Fraction: {str(x)!r}")
 
 
 def isometry_from_json(obj, d: int) -> IsometryN:
-    """Entries are JSON integers or rational strings; floats are refused."""
+    """Entries are JSON integers or rational strings; floats are refused.
+    Every entry is parsed before a non-integral one raises NotIntegral, so
+    a malformed entry anywhere is reported first."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ValueError("expected a 3x3 array")
     rows = []
@@ -184,6 +164,8 @@ def isometry_from_json(obj, d: int) -> IsometryN:
             raise ValueError("floats are refused; use integers or rational strings")
         try:
             rows.append(tuple(map(_json_entry, row)))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed rational entry: {exc}") from exc
+    if any(None in row for row in rows):
+        raise NotIntegral("matrix is not integral")
     return IsometryN(d, tuple(rows))

@@ -108,8 +108,28 @@ def reflected_lift(rng):
     return ["--d", str(d)], json.dumps(m), 3
 
 
+def rational_entry(rng):
+    """A lift with an entry spelled "p/q" that is not an integer exits 3;
+    a malformed entry or a zero denominator later in the array is a parse
+    error first (exit 4)."""
+    d, m = _lift(rng)
+    cells = sorted(rng.sample(range(9), 2))
+    i, j = divmod(cells[0], 3)
+    q = rng.randint(2, 9)
+    m[i][j] = f"{int(m[i][j]) * q + rng.randrange(1, q)}/{q}"
+    case = rng.randrange(3)
+    if case == 0:
+        return ["--d", str(d)], json.dumps(m), 3
+    i, j = divmod(cells[1], 3)
+    if case == 1:
+        m[i][j] = rng.choice(["x", "1e0", "+1", "1/", "1.5", "1/-2", 0.5, True, None])
+    else:
+        m[i][j] = f"{m[i][j]}/0"
+    return ["--d", str(d)], json.dumps(m), 4
+
+
 KINDS = [truncated, wrong_shape, float_or_bool, huge_integer, perturbed_lift,
-         reflected_lift]
+         reflected_lift, rational_entry]
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
@@ -125,3 +145,26 @@ def test_classify_rejects_with_documented_exit_code(kind, capsys, monkeypatch):
         assert captured.out == "", case
         assert captured.err.startswith("error: "), case
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), case
+
+
+def _over(x, q):
+    """The decimal entry x spelled as the rational (x*q)/q."""
+    return f"{int(x) * q}/{q}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_integral_rationals_classify_as_their_integers(fmt, capsys, monkeypatch):
+    """A lift whose entries are spelled as integral rationals ("4/2",
+    "-3/3") gives the same bytes as its decimal spelling."""
+    rng = random.Random(f"classify-rationals-{fmt}")
+    for _ in range(CASES_PER_KIND):
+        d, m = _lift(rng)
+        spelled = [[rng.choice([x, _over(x, rng.randint(1, 4))]) for x in row]
+                   for row in m]
+        outputs = []
+        for text in (json.dumps(m), json.dumps(spelled)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main(["classify", "--d", str(d), "--format", fmt])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0][0] == 0 and outputs[0][1], (d, m)
+        assert outputs[1] == outputs[0], (d, spelled)

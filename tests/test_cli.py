@@ -739,6 +739,36 @@ def test_closed_fd_1_exits_141_without_a_traceback(argv, code, err):
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
+def test_closed_fd_0_is_a_read_error():
+    # With fd 0 closed at start-up, sys.stdin is None: classify reports that
+    # it cannot read its input, as it does for a missing file.
+    proc = subprocess.run([sys.executable, "-m", "k3fm", "classify", "--d", "6"],
+                          capture_output=True, preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == b"error: cannot read input: stdin is closed\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["table", "--d-min", "0"], 2),
+    (["partners", "--d", "0"], 2),
+    (["classify", "--d", "6"], 3),
+], ids=["table", "partners", "classify"])
+def test_closed_fd_2_keeps_the_exit_code(argv, code):
+    # With fd 2 closed at start-up, the error line has nowhere to go; the
+    # documented code still reports, and nothing reaches stdout instead.
+    proc = subprocess.run([sys.executable, "-m", "k3fm", *argv], capture_output=True,
+                          input=b'[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]',
+                          preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+def test_no_stderr_keeps_the_error_off_stdout(capsys, monkeypatch):
+    # print(file=None) would write to stdout; the error line is dropped.
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["table", "--d-min", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "k3fm", "table", "--d-min", "1", "--d-max", "1"],

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -45,7 +44,7 @@ def test_represent_lands_in_special_orthogonal_part():
     for d in D_SET:
         for s in exact_divisor_values(d):
             g = represent(random_al(d, s, rng))
-            assert g.is_integral
+            assert all(type(x) is int for row in g.m for x in row)
             assert is_isometry(g)
             assert is_orientation_preserving(g)
 
@@ -133,9 +132,7 @@ def test_check_sample_names_each_failed_check():
         assert check_sample(w, shear) == ("isometry", "round_trip", "fricke_criterion")
         for m in (mat_mul(flip, g.m), mat_mul(g.m, flip)):
             assert check_sample(w, IsometryN(d, m)) == ("orientation", "round_trip")
-        # e0 -> e0/2, e4 -> 2*e4 preserves the Gram form over Q only.
-        half = IsometryN(d, ((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 2)))
-        assert check_sample(w, half) == ("integral", "round_trip", "fricke_criterion")
+
 
 def test_verify_correspondence_trivial_level():
     assert verify_correspondence(factorize(1), 20, random.Random(26)) == ()
@@ -156,8 +153,6 @@ def test_verify_correspondence_deterministic():
 
 def _descend_reference(g):
     """Every exact divisor times all 16 sign patterns, compared by lifting."""
-    if not g.is_integral:
-        raise NotInImage("matrix is not integral")
     det = mat_det(g.m)
     if det not in (1, -1):
         raise NotInImage(f"determinant {det} is not +-1")
@@ -214,5 +209,3 @@ def test_descend_agrees_with_exhaustive_reference():
             for g in _oracle_inputs(d, s, rng):
                 expected = _outcome(_descend_reference, g)
                 assert _outcome(descend, g) == expected, (d, s, g.m)
-    half = IsometryN(6, ((1, 0, 0), (0, 1, 0), (Fraction(1, 2), 0, 1)))
-    assert _outcome(descend, half) is _outcome(_descend_reference, half) is NotInImage

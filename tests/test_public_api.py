@@ -4,12 +4,15 @@ function the benchmark tracer wraps is still there to wrap, no module
 imports a name it neither reads nor exports, no private module-level name
 and no public one goes unread, no default goes unset by every caller, no
 f-string lacks a placeholder, no module imports another's private
-name, and every source file parses as Python 3.10."""
+name, every source file parses as Python 3.10, and the CLI imports no
+rational-number or typing module."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -274,3 +277,14 @@ def test_sources_parse_as_python_310():
     assert len(paths) > 20
     for path in sorted(paths):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_cli_import_leaves_out_rational_and_typing_modules():
+    """The lattice layer is integral, so `import k3fm.cli` needs neither
+    `fractions` (with the `decimal` and `numbers` it pulls in) nor `typing`.
+    `-S` keeps site's own imports out of the count; PYTHONPATH finds src."""
+    probe = ("import sys, k3fm.cli; print(sorted({'fractions', 'decimal', "
+             "'numbers', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
