@@ -28,7 +28,6 @@ from .errors import (
     NotAnIsometry,
     NotInImage,
     NotIntegral,
-    NotInUpperHalfPlane,
     NumericalPole,
     ZeroRank,
 )
@@ -43,7 +42,6 @@ from .fmcalc import (
     source_twist,
 )
 from .halfplane import (
-    HalfPlanePoint,
     charge_product_defect,
     equivariance_defect,
     induced_action,

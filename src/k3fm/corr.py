@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 
-from .arith import Factorization, is_exact_divisor
+from .arith import Factorization
 from .errors import K3FMError, NotAnIsometry, NotInImage
 from .lattice import (
     IsometryN,
@@ -90,14 +90,15 @@ def descend(g: IsometryN) -> ALElement:
     Exactly one of g, -g has determinant +1 (the rank is odd); call it h.  A
     level-s lift has h11 = e^2*s and h33 = a^2*s, and a*e*s - b*c*(d/s) = 1
     makes a and e prime to d/s, so s = gcd(h11, h33, d) is the only level
-    whose entry pattern h can match.
+    whose entry pattern h can match.  The same identity forces gcd(s, d/s)
+    = 1, so an s that is not an exact divisor of d matches nothing.
     """
     det = mat_det(g.m)
     if det not in (1, -1):
         raise NotInImage(f"determinant {det} is not +-1")
     h = g.m if det == 1 else mat_neg(g.m)
     s = math.gcd(h[0][0], h[2][2], g.d)
-    w = _match_level(h, g.d, s) if is_exact_divisor(s, g.d) else None
+    w = _match_level(h, g.d, s)
     if w is None:
         raise NotInImage("entry pattern matches no Atkin-Lehner coset")
     return w

@@ -44,12 +44,9 @@ class EndpointMismatch(K3FMError, ValueError):
     """Transforms are not composable or endpoints contradict the coset."""
 
 
-class NotInUpperHalfPlane(K3FMError, ValueError):
-    """Point has non-positive imaginary part."""
-
-
 class NumericalPole(K3FMError, ArithmeticError):
-    """Floating-point evaluation degenerated (pole or lost projectivity)."""
+    """Floating-point evaluation degenerated (pole or lost projectivity), or
+    a point or its image is not in the upper half plane."""
 
 
 class ZeroRank(K3FMError, ValueError):

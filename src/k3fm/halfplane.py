@@ -3,25 +3,26 @@ tying the 2x2 and 3x3 pictures together through the tube domain.
 
 Exactness lives in the other modules; this one evaluates the objects it is
 handed (an element, a transform, a lift, an image point), with `mobius`
-the only place a square root is taken.  It applies no tolerance: `verify`
-compares the action defect (relative) and the equivariance defect
-(absolute) with its `--tol`, and decides the charge identity exactly in
-integers; `charge_product_defect` is its float picture, which cancels
-catastrophically at large d.
+the only place a square root is taken.  A point is a Python complex
+z = u + v*i with v > 0; each function that acts on a point refuses an
+off-plane or non-finite one with NumericalPole, as it refuses a pole.
+
+No tolerance is applied here: `verify` compares the action defect
+(relative) and the equivariance defect (absolute) with its `--tol`, and
+decides the charge identity exactly in integers; `charge_product_defect`
+is its float picture, which cancels catastrophically at large d.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import LevelMismatch, NotInUpperHalfPlane, NumericalPole, ZeroRank
+from .errors import LevelMismatch, NumericalPole, ZeroRank
 from .fmcalc import InducedTransform
 from .lattice import IsometryN
 from .modgroup import ALElement
 
 __all__ = [
-    "HalfPlanePoint",
     "mobius",
     "induced_action",
     "equivariance_defect",
@@ -31,68 +32,53 @@ __all__ = [
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """z = u + i*v with u, v finite and v > 0."""
-
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        # Chained comparisons are False for nan, so this also refuses it.
-        if not (0 < self.v < math.inf and -math.inf < self.u < math.inf):
-            raise NotInUpperHalfPlane(
-                f"({self.u}, {self.v}) is not a finite point with v > 0")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.u, self.v)
-
-
-def mobius(w: ALElement, z: HalfPlanePoint) -> HalfPlanePoint:
+def mobius(w: ALElement, z: complex) -> complex:
     """Fractional-linear action of w through its real matrix
     ((a*sqrt(s), b/sqrt(s)), (c*(d/s)*sqrt(s), e*sqrt(s))).
 
     The imaginary part of the image of a determinant-one matrix is exactly
     v / |gamma*z + delta|^2; computing it that way keeps it positive where
     the naive complex quotient would cancel catastrophically for large
-    entries.  A vanishing denominator is the (measure-zero) pole.
+    entries.  A vanishing denominator is the (measure-zero) pole, and an
+    image whose imaginary part is not positive (z off the plane or not
+    finite, or a collapse onto the real axis) is refused.
     """
     root = math.sqrt(w.s)
     al, be = w.a * root, w.b / root
     ga, de = w.c * (w.d // w.s) * root, w.e * root
-    zz = z.z
-    den = ga * zz + de
+    den = ga * z + de
     den2 = den.real * den.real + den.imag * den.imag
     if den2 < _TINY:
         raise NumericalPole("Moebius denominator vanished")
-    num = (al * zz + be) * den.conjugate()
-    v_out = z.v / den2
+    num = (al * z + be) * den.conjugate()
+    v_out = z.imag / den2
     if not v_out > 0:
-        raise NumericalPole("image collapsed onto the real axis")
-    return HalfPlanePoint(num.real / den2, v_out)
+        raise NumericalPole("image is not in the upper half plane")
+    return complex(num.real / den2, v_out)
 
 
-def induced_action(t: InducedTransform, z: HalfPlanePoint) -> HalfPlanePoint:
+def induced_action(t: InducedTransform, z: complex) -> complex:
     """Action on the half plane of a transform's rank/twist datum:
 
         z -> (1/(d*|rank|)) * (-1/(z - n_src/rank)) + n_tgt/rank.
 
-    Rank zero acts by translation instead; use mobius(t.image, z).
+    Rank zero acts by translation instead; use mobius(t.image, z).  The
+    imaginary part of -1/(z - n_src/rank) has the sign of Im z, so the
+    final check refuses an off-plane z as well as a collapse.
     """
     rank = t.rank
     if rank == 0:
         raise ZeroRank("rank-zero transforms act by translation")
-    zz = z.z - t.n_src / rank
+    zz = z - t.n_src / rank
     if abs(zz) < _TINY:
         raise NumericalPole("action evaluated at its pole")
     out = (-1.0 / zz) / (t.image.d * abs(rank)) + t.n_tgt / rank
     if not out.imag > 0:
         raise NumericalPole(f"image {out} left the upper half plane")
-    return HalfPlanePoint(out.real, out.imag)
+    return out
 
 
-def equivariance_defect(w: ALElement, z: HalfPlanePoint, isometry: IsometryN) -> float:
+def equivariance_defect(w: ALElement, z: complex, isometry: IsometryN) -> float:
     """Distance between the 3x3 isometry acting on the tube-domain point
     (1, z, d*z^2) (coordinates e0, ell, e4) and the tube-domain point of
     the 2x2 action of w.
@@ -101,7 +87,7 @@ def equivariance_defect(w: ALElement, z: HalfPlanePoint, isometry: IsometryN) ->
     coordinate (largest magnitude, never a near-zero first component)
     before comparing; near zero certifies that the isometry, normally
     represent(w), acts as w does through the tube domain.  A corrupted
-    isometry shows as a large defect.
+    isometry shows as a large defect.  The point is checked by mobius.
     """
     d = w.d
     if isometry.d != d:
@@ -114,12 +100,11 @@ def equivariance_defect(w: ALElement, z: HalfPlanePoint, isometry: IsometryN) ->
     g00, g01, g02 = float(g00), float(g01), float(g02)
     g10, g11, g12 = float(g10), float(g11), float(g12)
     g20, g21, g22 = float(g20), float(g21), float(g22)
-    one, zz = complex(1.0), z.z
-    zz2 = d * zz * zz
-    x0 = 0 + g00 * one + g01 * zz + g02 * zz2
-    x1 = 0 + g10 * one + g11 * zz + g12 * zz2
-    x2 = 0 + g20 * one + g21 * zz + g22 * zz2
-    y1 = mobius(w, z).z
+    one, z2 = complex(1.0), d * z * z
+    x0 = 0 + g00 * one + g01 * z + g02 * z2
+    x1 = 0 + g10 * one + g11 * z + g12 * z2
+    x2 = 0 + g20 * one + g21 * z + g22 * z2
+    y1 = mobius(w, z)
     y2 = d * y1 * y1
     # The best-conditioned coordinate, chosen as max(range(3), key=...) would.
     k0, k1, k2 = abs(x0) + abs(one), abs(x1) + abs(y1), abs(x2) + abs(y2)
@@ -133,9 +118,7 @@ def equivariance_defect(w: ALElement, z: HalfPlanePoint, isometry: IsometryN) ->
                      + abs(x2 / xj - y2 / yj) ** 2)
 
 
-def charge_product_defect(
-    t: InducedTransform, z: HalfPlanePoint, image: HalfPlanePoint
-) -> float:
+def charge_product_defect(t: InducedTransform, z: complex, image: complex) -> float:
     """|Z_src(z) * Z_tgt(image) - 1| for the isotropic point-image vectors
     of a rank-nonzero transform, where image is t(z), normally
     mobius(t.image, z).
@@ -144,14 +127,15 @@ def charge_product_defect(
     likewise on the target side.  InducedTransform reads (rank, n_src, n_tgt)
     off the image as (c^2*(d/s), -c*e, a*c), so the two third entries are the
     integers e^2*s and a^2*s of the image's level s.  Each vector's central
-    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.
+    charge <exp(z*L), r + n*L + s> is 2*d*z*n - s - d*z^2*r.  The identity
+    is polynomial in z, so no point is refused.
     """
     if t.rank == 0:
         raise ZeroRank("rank-zero transforms have no charge product")
     d = t.image.d
     s_src = d * t.n_src * t.n_src // t.rank
     s_tgt = d * t.n_tgt * t.n_tgt // t.rank
-    r, z1, z2 = t.rank, z.z, image.z
-    prod = ((2 * d * z1 * t.n_src - s_src - d * z1 * z1 * r)
-            * (2 * d * z2 * t.n_tgt - s_tgt - d * z2 * z2 * r))
+    r = t.rank
+    prod = ((2 * d * z * t.n_src - s_src - d * z * z * r)
+            * (2 * d * image * t.n_tgt - s_tgt - d * image * image * r))
     return abs(prod - 1.0)

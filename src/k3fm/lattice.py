@@ -13,7 +13,6 @@ one to an integer or refuses the matrix.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -120,7 +119,9 @@ def discriminant_unit(g: IsometryN) -> int:
         raise ActionNotDiagonal(
             "image of ell is not a multiple of ell on the discriminant group"
         )
-    if math.gcd(u, twod) != 1 or (u * u - 1) % (4 * g.d) != 0:
+    # u^2 = 1 (mod 4d) also makes u a unit: a prime dividing u and 2d
+    # would divide 1.
+    if (u * u - 1) % (4 * g.d) != 0:
         raise ActionNotDiagonal(
             f"multiplier {u} does not preserve the discriminant form mod {2 * twod}"
         )

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from .arith import Factorization, _range_problem, factorize_window
 from .corr import descend, represent, verify_correspondence
 from .fmcalc import InducedTransform, induced_transform, partner_representatives
-from .halfplane import (
-    HalfPlanePoint,
-    charge_product_defect,
-    equivariance_defect,
-    induced_action,
-    mobius,
-)
+from .halfplane import charge_product_defect, equivariance_defect, induced_action, mobius
 from .modgroup import fricke_coset_count, random_al
 
 __all__ = ["MAX_SAMPLED_ELEMENTS", "VerifyConfig", "run_verify"]
@@ -82,8 +76,8 @@ class VerifyConfig:
                              f"got at least {sampled}")
 
 
-def _sample_point(rng: random.Random) -> HalfPlanePoint:
-    return HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
+def _sample_point(rng: random.Random) -> complex:
+    return complex(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
 
 
 def _charge_identity_holds(t: InducedTransform) -> bool:
@@ -126,8 +120,7 @@ def _verify_level(level: Factorization, config: VerifyConfig,
             z = _sample_point(rng)
             za = induced_action(t, z)
             zm = mobius(t.image, z)
-            scale = max(1.0, abs(zm.z))
-            action_max = max(action_max, abs(za.z - zm.z) / scale)
+            action_max = max(action_max, abs(za - zm) / max(1.0, abs(zm)))
             charge_max = max(charge_max, charge_product_defect(t, z, zm))
     for s in divisors:
         w = random_al(d, s, rng)

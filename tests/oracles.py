@@ -48,8 +48,8 @@ def equivariance_defect(w, z, g):
     not follow the running Python's sum().  The library's straight-line
     form must give the same float, bit for bit."""
     gm = tuple(tuple(float(x) for x in row) for row in g.m)
-    zz, zm = z.z, mobius(w, z).z
-    tv = (complex(1.0), zz, w.d * zz * zz)
+    zm = mobius(w, z)
+    tv = (complex(1.0), z, w.d * z * z)
     x = tuple(0 + row[0] * tv[0] + row[1] * tv[1] + row[2] * tv[2] for row in gm)
     y = (complex(1.0), zm, w.d * zm * zm)
     j = max(range(3), key=lambda i: abs(x[i]) + abs(y[i]))

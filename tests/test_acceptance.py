@@ -17,13 +17,7 @@ from k3fm.fmcalc import (
     partner_census,
     source_twist,
 )
-from k3fm.halfplane import (
-    HalfPlanePoint,
-    charge_product_defect,
-    equivariance_defect,
-    induced_action,
-    mobius,
-)
+from k3fm.halfplane import charge_product_defect, equivariance_defect, induced_action, mobius
 from k3fm.modgroup import al_mul, fricke_coset_count, is_fricke, random_al
 from oracles import mat_mul
 
@@ -136,17 +130,17 @@ def test_criterion_5_analytic_consistency():
         for r in exact_divisor_values(d):
             t = induced_transform(d, r)
             for _ in range(100):
-                z = HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
+                z = complex(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
                 za = induced_action(t, z)
                 zm = mobius(t.image, z)
-                if abs(za.z - zm.z) / max(1.0, abs(zm.z)) >= ANALYTIC_TOL:
+                if abs(za - zm) / max(1.0, abs(zm)) >= ANALYTIC_TOL:
                     failures.append((d, r, "action mismatch"))
                 if charge_product_defect(t, z, zm) >= ANALYTIC_TOL:
                     failures.append((d, r, "charge product"))
         for s in exact_divisor_values(d):
             w = random_al(d, s, rng)
             for _ in range(100):
-                z = HalfPlanePoint(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
+                z = complex(rng.uniform(-2.0, 2.0), 0.1 + 1.9 * rng.random())
                 if equivariance_defect(w, z, represent(w)) >= ANALYTIC_TOL:
                     failures.append((d, s, "equivariance"))
     _finish(5, "analytic consistency", failures, started, budget=10.0)

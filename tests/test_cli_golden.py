@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -372,7 +373,17 @@ def _compensated_sum(values, start=0):
 def test_verify_bytes_do_not_follow_sum(capsys, monkeypatch):
     # The report is the same on every supported Python: shadowing sum() in
     # the half-plane layer with 3.12's compensated one leaves its bytes.
-    assert (sum([1e16, 1.0, -1e16]), _compensated_sum([1e16, 1.0, -1e16])) == (0.0, 1.0)
+    # Below 3.12 the native sum() is the plain one; from 3.12 on it is the
+    # compensated one, so there the emulation is checked against it.
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    if sys.version_info >= (3, 12):
+        rng = random.Random(12)
+        for _ in range(200):
+            values = [rng.choice((0, 1, -3)) + rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)
+                      for _ in range(rng.randint(1, 8))]
+            assert sum(values).hex() == _compensated_sum(values).hex(), values
+    else:
+        assert sum([1e16, 1.0, -1e16]) == 0.0
     monkeypatch.setattr("k3fm.halfplane.sum", _compensated_sum, raising=False)
     argv, stdin, code, err, digest = CASES['verify-52-json']
     assert _run(capsys, monkeypatch, argv, stdin) == (code, err, digest)

@@ -86,6 +86,23 @@ def test_descend_rejects_non_image():
         descend(IsometryN(6, ((1, 0, 0), (0, 1, 0), (0, 0, 2))))
 
 
+def test_descend_rejects_levels_that_are_not_exact_divisors():
+    # s = gcd(h11, h33, d) = 2 divides d = 4 and 12 but not exactly; the
+    # entry pattern's a*e*s - b*c*(d/s) = 1 then refuses every matrix.
+    refused = 0
+    for d in (4, 12):
+        for h11, h33 in ((2, 2), (2, 6), (6, 2)):
+            for h12, h13, h21, h22, h23, h31, h32 in itertools.product((-1, 0, 1), repeat=7):
+                m = ((h11, h12, h13), (h21, h22, h23), (h31, h32, h33))
+                if mat_det(m) != 1:
+                    continue
+                assert math.gcd(h11, h33, d) == 2
+                with pytest.raises(NotInImage):
+                    descend(IsometryN(d, m))
+                refused += 1
+    assert refused == 488
+
+
 def test_classify_coset():
     assert descend(IsometryN(6, IDENTITY)).s == 1
     for d in (2, 6, 30):

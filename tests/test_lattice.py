@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -135,6 +136,12 @@ def test_discriminant_unit_invariants():
     bad_square = IsometryN(8, ((1, 0, 0), (0, 3, 0), (0, 0, 1)))  # 9 != 1 mod 32
     with pytest.raises(ActionNotDiagonal, match="multiplier 3 "):
         discriminant_unit(bad_square)
+    # The square test alone refuses every u with gcd(u, 2d) > 1.
+    for d in range(1, 61):
+        for u in range(2 * d):
+            if math.gcd(u, 2 * d) != 1:
+                with pytest.raises(ActionNotDiagonal, match=f"multiplier {u} "):
+                    discriminant_unit(IsometryN(d, ((1, 0, 0), (0, u, 0), (0, 0, 1))))
 
 
 def test_isometry_json_round_trip():
