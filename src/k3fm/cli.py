@@ -175,8 +175,7 @@ def _cmd_partners(args) -> int:
             *e["image"]["abce"]] for e in labels),
           itertools.chain([f"d={args.d}  fm_number={fm_number}"], (
               f"  {e['moduli']}  r={e['r']}  image level {e['coset_level']}"
-              f"  (a,b,c,e)=({','.join(e['image']['abce'])})"
-              f"  {'fine' if e['fine'] else 'not fine'}"
+              f"  (a,b,c,e)=({','.join(e['image']['abce'])})  fine"
               for e in labels)))
     return 0
 

@@ -4,7 +4,10 @@
 hand-expanded entry formulas in which every sqrt(s) cancels, so integrality
 is an identity rather than a rounding question.  `descend` inverts the lift
 by reading the only possible level off the corner entries,
-s = gcd(h11, h33, d), and then checking the full entry pattern at that level.
+s = gcd(h11, h33, d), and then checking the entry pattern at that level.
+Both build unchecked (`IsometryN.proved`, `ALElement.proved`): the lift's
+entries are int products, and the pattern `descend` matches holds
+a*e*s - b*c*(d/s) = 1.
 `verify_correspondence` samples every coset of a level and certifies, at
 desk scale, that the lift is Gram-preserving, orientation preserving,
 invertible by `descend`, and acts on the discriminant group by +-1 exactly
@@ -52,7 +55,7 @@ def represent(w: ALElement) -> IsometryN:
         (b * e, a * e * s + b * c * t, a * c),
         (b * b * t, 2 * a * b * d, a * a * s),
     )
-    return IsometryN(d, m)
+    return IsometryN.proved(d, m)
 
 
 def _match_level(h, d: int, s: int) -> ALElement | None:
@@ -61,7 +64,11 @@ def _match_level(h, d: int, s: int) -> ALElement | None:
     The corners give |a|, |b|, |c|, |e|, and up to the projective sign the
     signs are forced: with e > 0 by h21 = b*e, h12 = 2*c*d*e and
     h22 + 1 = 2*a*e*s; with e = 0, b*c*(d/s) = -1, so c > 0 means b < 0 and
-    h23 = a*c signs a.  The whole entry pattern is checked last.
+    h23 = a*c signs a.  The entry pattern, checked last, holds
+    a*e*s - b*c*(d/s) = 1, which makes s exact.  h22 needs no comparison:
+    det(h) is linear in it with coefficient h11*h33 - h13*h31 =
+    (a*e*s)^2 - (b*c*(d/s))^2 = 1 + 2*b*c*(d/s), which is odd, so det(h) = 1
+    forces the lift's h22 once every other entry matches.
     """
     t = d // s
     (h11, h12, h13), (h21, h22, h23), (h31, h32, h33) = h
@@ -77,11 +84,10 @@ def _match_level(h, d: int, s: int) -> ALElement | None:
         a, b, c = a if h22 >= 0 else -a, b if h21 > 0 else -b, c if h12 > 0 else -c
     else:
         a, b = (a if h23 > 0 else -a), -b
-    pattern = (a * e * s - b * c * t, b * e, a * c, a * e * s + b * c * t,
-              2 * c * d * e, 2 * a * b * d)
-    if pattern != (1, h21, h23, h22, h12, h32):
+    if (a * e * s - b * c * t, b * e, a * c, 2 * c * d * e, 2 * a * b * d) != (
+            1, h21, h23, h12, h32):
         return None
-    return ALElement(d, s, a, b, c, e)
+    return ALElement.proved(d, s, a, b, c, e)
 
 
 def descend(g: IsometryN) -> ALElement:

@@ -53,9 +53,10 @@ class PartnerLabel:
 
     @property
     def is_fine(self) -> bool:
-        # gcd(r, L^2, s) = 1 is what makes the moduli space fine; recorded,
-        # not verified geometrically.
-        return math.gcd(self.r, 2 * self.d, self.d // self.r) == 1
+        """True: gcd(r, L^2, d/r) = 1 makes the moduli space fine (recorded,
+        not verified geometrically), and gcd(r, d/r) = 1 already holds for
+        the exact divisor r.  The wire field `fine` carries this constant."""
+        return True
 
 
 def partner_label(d: int, r: int) -> PartnerLabel:

@@ -14,6 +14,12 @@ Only the quintuple (d, s, a, b, c, e) is stored, so products, inverses and
 coset labels never touch an irrational number.  Elements are projective:
 (a, b, c, e) and (-a, -b, -c, -e) describe the same transformation, and the
 stored sign is normalized so the first nonzero of (a, c, b, e) is positive.
+
+The constructor checks what comes from outside.  `_read_back`, behind
+`al_mul` and `random_al`, builds through `ALElement.proved`, which keeps
+only the sign normalization: its residue test is the coset law, and the
+product's determinant is a product of determinants that are one (checked
+elements, `_base`'s modular inverse, `_gamma0_draw`'s checked draws).
 """
 
 from __future__ import annotations
@@ -80,6 +86,17 @@ class ALElement:
             for name, x in (("a", a), ("b", b), ("c", c), ("e", e)):
                 object.__setattr__(self, name, -x)
 
+    @classmethod
+    def proved(cls, d: int, s: int, a: int, b: int, c: int, e: int) -> ALElement:
+        """ALElement(d, s, a, b, c, e) with the sign normalized but unchecked:
+        the caller has proved that the six are ints, that s divides d >= 1
+        and that a*e*s - b*c*(d/s) == 1 (which makes s an exact divisor)."""
+        if (a or c or b or e) < 0:
+            a, b, c, e = -a, -b, -c, -e
+        w = object.__new__(cls)
+        w.__dict__.update(d=d, s=s, a=a, b=b, c=c, e=e)
+        return w
+
 
 def al_identity(d: int) -> ALElement:
     return ALElement(d, 1, 1, 0, 0, 1)
@@ -120,7 +137,7 @@ def _read_back(d: int, t: int, g: int, p11: int, p12: int, p21: int,
     e, re = divmod(p22, g * t)
     if ra or rb or rc or re:
         raise InternalClosureViolation(f"coset closure failed for W_{t} at d={d}")
-    return ALElement(d, t, a, b, c, e)
+    return ALElement.proved(d, t, a, b, c, e)
 
 
 def al_inverse(w: ALElement) -> ALElement:

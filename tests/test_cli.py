@@ -349,6 +349,18 @@ def test_classify_non_isometry_exits_3(tmp_path, capsys):
     assert "not classifiable" in err
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0], [0, 1, 1]],  # only <u, v> = 0 fails
+    [[1, 0, 0], [0, 1, 0], [6, 0, 1]],  # only <u, u> = 0 fails
+])
+def test_classify_names_the_gram_form_for_one_broken_pairing(tmp_path, capsys, rows):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "classify", "--d", "6", str(path))
+    assert (code, out) == (3, "")
+    assert "matrix does not preserve the Gram form" in err
+
+
 def test_classify_parse_error_exits_4(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{broken")

@@ -127,6 +127,34 @@ def test_discriminant_unit_rejections():
         discriminant_unit(corrupted)
 
 
+# At d = 6, each matrix breaks one pairing of its columns u, v, w and keeps
+# the other five, so only that conjunct of is_isometry refuses it.
+ONE_PAIRING_BROKEN = {
+    (0, 1): ((1, 0, 0), (0, 1, 0), (0, 1, 1)),  # columns (1,0,0), (0,1,1), (0,0,1)
+    (0, 0): ((1, 0, 0), (0, 1, 0), (6, 0, 1)),  # columns (1,0,6), (0,1,0), (0,0,1)
+}
+
+
+@pytest.mark.parametrize("broken", sorted(ONE_PAIRING_BROKEN))
+def test_is_isometry_checks_each_pairing_alone(broken):
+    m = ONE_PAIRING_BROKEN[broken]
+    cols = [tuple(row[j] for row in m) for j in range(3)]
+    assert {(i, j) for i in range(3) for j in range(i, 3)
+            if pair(6, cols[i], cols[j]) != gram(6)[i][j]} == {broken}
+    assert not is_isometry(IsometryN(6, m))
+    with pytest.raises(NotAnIsometry):
+        is_orientation_preserving(IsometryN(6, m))
+
+
+def test_discriminant_unit_checks_the_e4_coefficient_alone():
+    # g*ell = (0, 1, 1): its e0 coefficient vanishes and u = 1 squares to 1,
+    # so only the e4 coefficient's test mod 2d refuses it.
+    g = IsometryN(6, ((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+    assert (g.m[0][1], g.m[1][1], g.m[2][1]) == (0, 1, 1)
+    with pytest.raises(ActionNotDiagonal, match="image of ell"):
+        discriminant_unit(g)
+
+
 def test_discriminant_unit_invariants():
     """The multiplier read off an integral matrix must be a unit mod 2d with
     u^2 = 1 (mod 4d); discriminant_unit itself refuses one that is not."""

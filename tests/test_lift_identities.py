@@ -129,6 +129,20 @@ def test_lift_has_determinant_one():
     assert reduce(add(det(LIFT), const(-1))) == {}
 
 
+def test_determinant_one_pins_the_middle_entry():
+    """Why `descend` does not compare h22.  The cofactor of h22 in det is
+    h11*h33 - h13*h31, whose normal form is 1 + 2*b*c*t: odd at every
+    integer point, so never 0.  det is linear in h22 (here h22 + z, z a
+    free variable, adds z times the cofactor), so two matrices that agree
+    off h22 and both have det 1 agree at h22 too: a matrix of det 1 that
+    matches a lift everywhere else is that lift."""
+    cofactor = add(mul(LIFT[0][0], LIFT[2][2]), neg(mul(LIFT[0][2], LIFT[2][0])))
+    assert reduce(cofactor) == add(const(1), mul(const(2), b, c, t))
+    shifted = tuple(tuple(add(p, z) if (i, j) == (1, 1) else p
+                          for j, p in enumerate(row)) for i, row in enumerate(LIFT))
+    assert add(det(shifted), neg(det(LIFT)), neg(mul(z, cofactor))) == {}
+
+
 def test_lift_middle_entry_is_one_plus_2bct():
     # so the discriminant unit is +1 on W_1, where t = d
     assert reduce(add(LIFT[1][1], neg(add(const(1), mul(const(2), b, c, t))))) == {}

@@ -1,0 +1,161 @@
+"""The producers that build `ALElement` and `IsometryN` without the
+constructors' checks: `modgroup._read_back` (behind `al_mul` and
+`random_al`), `corr._match_level` (behind `descend`) and `corr.represent`.
+What each returns must be the value the checked constructor builds, and
+each check those producers keep must refuse what it alone stands between
+a wrong input and a wrong value."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+import k3fm
+from k3fm import modgroup
+from k3fm.arith import exact_divisor_values
+from k3fm.corr import descend, represent
+from k3fm.errors import InternalClosureViolation, NotInImage
+from k3fm.lattice import IsometryN, mat_det, mat_neg
+from k3fm.modgroup import ALElement, al_mul, base_element, random_al, translation
+
+LEVELS = (6, 210, 510510)
+
+
+def _assert_same(trusted, checked):
+    """Equal, of the same type, with the same fields in the same order and
+    of the same types, the same hash and the same repr."""
+    assert type(trusted) is type(checked)
+    assert trusted == checked
+    assert list(vars(trusted).items()) == list(vars(checked).items())
+    assert [type(x) for x in vars(trusted).values()] == [
+        type(x) for x in vars(checked).values()]
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)
+
+
+def _checked_al(w):
+    return ALElement(w.d, w.s, w.a, w.b, w.c, w.e)
+
+
+def _samples(d, rng):
+    divisors = exact_divisor_values(d)
+    levels = divisors if len(divisors) <= 16 else rng.sample(divisors, 16)
+    return [random_al(d, s, rng) for s in levels for _ in range(3)]
+
+
+@pytest.mark.parametrize("d", LEVELS)
+def test_random_al_and_al_mul_build_what_the_constructor_builds(d):
+    rng = random.Random(d)
+    sample = _samples(d, rng)
+    for w in sample:
+        _assert_same(w, _checked_al(w))
+        # the other sign of the same projective element normalizes alike
+        _assert_same(w, ALElement(w.d, w.s, -w.a, -w.b, -w.c, -w.e))
+    for w1, w2 in zip(sample, sample[1:] + sample[:1]):
+        product = al_mul(w1, w2)
+        _assert_same(product, _checked_al(product))
+
+
+@pytest.mark.parametrize("d", LEVELS)
+def test_represent_and_descend_build_what_the_constructor_builds(d):
+    rng = random.Random(d + 1)
+    for w in _samples(d, rng) + [base_element(d, 1), base_element(d, d)]:
+        g = represent(w)
+        _assert_same(g, IsometryN(g.d, g.m))
+        back = descend(g)
+        _assert_same(back, _checked_al(back))
+        _assert_same(back, w)
+        _assert_same(descend(IsometryN(d, mat_neg(g.m))), w)
+
+
+def test_proved_normalizes_the_projective_sign():
+    for quintuple in ((2, 1, 1, 1), (-2, -1, -1, -1)):
+        _assert_same(ALElement.proved(6, 2, *quintuple), ALElement(6, 2, 2, 1, 1, 1))
+    _assert_same(ALElement.proved(6, 6, 0, 1, -1, 0), ALElement(6, 6, 0, -1, 1, 0))
+
+
+# The only (module, function) pairs that may read `ALElement.proved` or
+# `IsometryN.proved`: nothing else in the package builds without the checks.
+TRUSTED_CALLERS = {("modgroup", "_read_back"), ("corr", "_match_level"),
+                   ("corr", "represent")}
+
+
+def test_only_the_three_producers_build_unchecked():
+    src = Path(k3fm.__file__).resolve().parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Attribute) and n.attr == "proved"
+                        and isinstance(n.ctx, ast.Load)):
+                    callers.add((path.stem, getattr(node, "name", None)))
+    assert callers == TRUSTED_CALLERS
+
+
+# --- what the producers' remaining checks stand guard over -----------------
+
+
+def _pattern(w):
+    """The integer matrix [[a*s, b], [c*d, e*s]] of w."""
+    return ((w.a * w.s, w.b), (w.c * w.d, w.e * w.s))
+
+
+def test_read_back_refuses_a_product_off_the_coset_law():
+    # W_2 times W_6 at d = 6: g = gcd(2, 6) = 2 and the product lies in W_3,
+    # so each entry is a multiple of g*t, g, g*d or g*t; one step off any
+    # one of them leaves a remainder.
+    w1, w2 = base_element(6, 2), base_element(6, 6)
+    (x11, x12), (x21, x22) = _pattern(w1)
+    (y11, y12), (y21, y22) = _pattern(w2)
+    p = [x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+         x21 * y11 + x22 * y21, x21 * y12 + x22 * y22]
+    assert modgroup._read_back(6, 3, 2, *p) == al_mul(w1, w2)
+    for i in range(4):
+        off = list(p)
+        off[i] += 1
+        with pytest.raises(InternalClosureViolation):
+            modgroup._read_back(6, 3, 2, *off)
+
+
+def test_descend_refuses_h32_where_the_determinant_does_not_pin_it():
+    """det(h) is linear in h32 with coefficient -c*e, so with c = 0 or
+    e = 0 every h32 leaves det(h) = 1, and only the h32 = 2*a*b*d comparison
+    refuses a matrix that matches the rest of a lift."""
+    d = 6
+    lifts = [translation(d, m) for m in (0, 1, -2)]  # c = 0
+    lifts += [base_element(d, d), ALElement(d, d, 1, -1, 1, 0)]  # e = 0
+    with pytest.raises(NotInImage):
+        descend(IsometryN(d, ((1, 0, 0), (0, 1, 0), (0, 5, 1))))
+    for w in lifts:
+        assert w.c == 0 or w.e == 0
+        m = [list(row) for row in represent(w).m]
+        for step in (1, -1, 5):
+            m[2][1] += step
+            h = tuple(map(tuple, m))
+            assert mat_det(h) == 1
+            with pytest.raises(NotInImage):
+                descend(IsometryN(d, h))
+            m[2][1] -= step
+
+
+# Matrices of determinant one at d = 6, each refused by one comparison of
+# _match_level alone, the one named: a*e*s - b*c*(d/s) = 1 (the quintuple
+# read off is (0, 1, 1, 1) at s = 6), h21 = b*e, h23 = a*c, h12 = 2*c*d*e
+# or h32 = 2*a*b*d.
+ONE_COMPARISON_FROM_A_LIFT = {
+    "determinant": ((6, 12, 1), (1, -1, 0), (1, 0, 0)),
+    "h21": ((1, 0, 0), (-1, 1, 0), (0, 0, 1)),
+    "h23": ((1, 0, 0), (0, 1, -1), (0, 0, 1)),
+    "h12": ((1, -1, 0), (0, 1, 0), (0, 0, 1)),
+    "h32": ((1, 0, 0), (0, 1, 0), (0, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_COMPARISON_FROM_A_LIFT))
+def test_descend_refuses_what_one_comparison_alone_refuses(name):
+    h = ONE_COMPARISON_FROM_A_LIFT[name]
+    assert mat_det(h) == 1
+    with pytest.raises(NotInImage, match="entry pattern"):
+        descend(IsometryN(6, h))
