@@ -264,7 +264,7 @@ def _verify_text(report: dict) -> Iterator[str]:
 
 def _cmd_verify(args) -> int:
     try:
-        config = VerifyConfig(args.d_min, args.d_max, args.samples, args.seed, args.tol)
+        config = VerifyConfig(args.d_min, args.d_max, args.samples, args.seed)
     except ValueError as exc:
         raise _Exit(2, str(exc)) from None
     report, code = run_verify(config)
@@ -328,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d-max", type=int, default=VerifyConfig.d_max)
     p_verify.add_argument("--samples", type=int, default=VerifyConfig.samples_per_coset)
     p_verify.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    p_verify.add_argument("--tol", type=float, default=VerifyConfig.tolerance)
     p_verify.add_argument("--format", choices=_FORMATS, default="json")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -8,7 +8,7 @@ z = u + v*i with v > 0; each function that acts on a point refuses an
 off-plane or non-finite one with NumericalPole, as it refuses a pole.
 
 No tolerance is applied here: `verify` compares the action defect
-(relative) and the equivariance defect (absolute) with its `--tol`, and
+(relative) and the equivariance defect (absolute) with a fixed 1e-9, and
 decides the charge identity exactly in integers; `charge_product_defect`
 is its float picture, which cancels catastrophically at large d.
 """

@@ -10,7 +10,6 @@ code; the CLI lays it out.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -32,35 +31,30 @@ __all__ = ["MAX_SAMPLED_ELEMENTS", "VerifyConfig", "run_verify"]
 # `verify --d-max 200` samples 40050.
 MAX_SAMPLED_ELEMENTS = 2**16
 
+# The bound on the action and equivariance defects, every report's `tolerance`.
+_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """One run's levels d_min..d_max, samples per coset, seed and analytic
-    tolerance; construction raises ValueError on the first usage problem.
-    The tolerance bounds the action and equivariance defects only: the
-    charge verdict is exact (see `_charge_identity_holds`)."""
+    """One run's levels d_min..d_max, samples per coset and seed;
+    construction raises ValueError on the first usage problem."""
 
     d_min: int = 1
     d_max: int = 50
     samples_per_coset: int = 50
     seed: int = 1
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         for name in ("d_min", "d_max", "samples_per_coset", "seed"):
             if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if type(self.tolerance) not in (int, float):  # a bool is refused too
-            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if (problem := _range_problem(self.d_min, self.d_max)) is not None:
             raise ValueError(problem)
         if self.samples_per_coset < 1:
             raise ValueError("samples per coset must be at least 1")
         if self.seed < 0:  # random.Random(-n) would seed as random.Random(n)
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0 < self.tolerance < math.inf:  # false for nan as well
-            raise ValueError(
-                f"tolerance must be finite and positive, got {self.tolerance!r}")
         # Every level has at least one coset, so the level count bounds the
         # sum from below and the sum walks at most MAX_SAMPLED_ELEMENTS levels.
         sampled = (self.d_max - self.d_min + 1) * self.samples_per_coset
@@ -128,7 +122,7 @@ def _verify_level(level: Factorization, config: VerifyConfig,
         for _ in range(n_points):
             equiv_max = max(equiv_max, equivariance_defect(w, _sample_point(rng), g))
     # charge_max is the float picture of the charge identity; charge_ok decides.
-    analytic_ok = charge_ok and max(action_max, equiv_max) < config.tolerance
+    analytic_ok = charge_ok and max(action_max, equiv_max) < _TOLERANCE
     failures = (len(sampled) + sum(not t["ok"] for t in transforms)
                 + (not census_ok) + (not analytic_ok))
 
@@ -164,8 +158,8 @@ def run_verify(config: VerifyConfig) -> tuple[dict, int]:
               for level in factorize_window(config.d_min, config.d_max)]
     total = sum(level["failures"] for level in levels)
     report = {
-        "config": {key: value if key == "tolerance" else str(value)
-                   for key, value in vars(config).items()},
+        "config": {**{key: str(value) for key, value in vars(config).items()},
+                   "tolerance": _TOLERANCE},
         "levels": levels,
         "total_failures": total,
     }

@@ -19,6 +19,7 @@ from k3fm.fmcalc import (
 )
 from k3fm.halfplane import charge_product_defect, equivariance_defect, induced_action, mobius
 from k3fm.modgroup import al_mul, fricke_coset_count, is_fricke, random_al
+from k3fm.verify import _TOLERANCE
 from oracles import mat_mul
 
 D_SET = (1, 2, 6, 12, 30, 210)
@@ -123,6 +124,7 @@ def test_criterion_4_transform_construction():
 
 
 def test_criterion_5_analytic_consistency():
+    assert _TOLERANCE == ANALYTIC_TOL  # `verify` judges its defects by this bound
     started = time.monotonic()
     failures = []
     rng = random.Random(20260804)

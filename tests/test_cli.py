@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import resource
@@ -447,10 +448,11 @@ def test_verify_seed_changes_report(capsys):
     assert out1 != out2
 
 
-def test_verify_absurd_tolerance_fails(capsys):
+def test_verify_absurd_tolerance_fails(capsys, monkeypatch):
+    monkeypatch.setattr("k3fm.verify._TOLERANCE", 1e-300)
     code, out, _ = run_cli(
         capsys, "verify", "--d-min", "1", "--d-max", "6", "--samples", "5",
-        "--seed", "7", "--tol", "1e-300",
+        "--seed", "7",
     )
     assert code == 1
     assert json.loads(out)["total_failures"] > 0
@@ -459,7 +461,7 @@ def test_verify_absurd_tolerance_fails(capsys):
 @pytest.mark.parametrize("d, samples", [(9699690, 2), (18446744073709551557, 1)])
 def test_verify_certifies_levels_whose_float_charge_product_cancels(capsys, d, samples):
     # The expanded charge product reads 0.19 at 9699690 and exactly 1.0 at
-    # this prime, against --tol 1e-9; the charge verdict is exact instead.
+    # this prime, against the fixed 1e-9; the charge verdict is exact instead.
     code, out, _ = run_cli(capsys, "verify", "--d-min", str(d), "--d-max", str(d),
                            "--samples", str(samples))
     assert code == 0
@@ -493,9 +495,10 @@ def test_charge_identity_refuses_shifted_twists():
 
 def test_verify_charge_verdict_refuses_a_shifted_twist(monkeypatch):
     # A tolerance no float defect reaches leaves the exact verdict to decide.
+    monkeypatch.setattr("k3fm.verify._TOLERANCE", 1e300)
     monkeypatch.setattr("k3fm.verify.induced_transform",
                         lambda d, r: _shifted(induced_transform(d, r), n_src=1))
-    report, code = run_verify(VerifyConfig(1, 6, 2, tolerance=1e300))
+    report, code = run_verify(VerifyConfig(1, 6, 2))
     assert code == 1
     assert [level["analytic"]["ok"] for level in report["levels"]] == [False] * 6
 
@@ -530,11 +533,15 @@ def test_verify_usage_error(capsys):
     assert code == 2
     assert "invalid range" in err
     code, _, err = run_cli(capsys, "verify", "--samples", "0")
-    assert code == 2
-    for tol in ("nan", "-1", "0", "inf"):
-        code, out, err = run_cli(capsys, "verify", "--d-max", "1", "--tol", tol)
-        assert (code, out) == (2, "")
-        assert "tolerance" in err
+    assert (code, err) == (2, "error: samples per coset must be at least 1\n")
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-300", "nan", "0"])
+def test_verify_has_no_tolerance_option(tol, capsys):
+    # The float defects are judged against one fixed bound, criterion 5's.
+    code, out, err = run_cli(capsys, "verify", "--d-max", "1", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --tol " + tol + "\n")
 
 
 def test_verify_text_and_csv_formats(capsys):
@@ -556,12 +563,10 @@ def test_run_verify_api():
 
 @pytest.mark.parametrize("kwargs", [
     {"samples_per_coset": 0}, {"d_min": 3, "d_max": 1}, {"d_min": 0},
-    {"tolerance": float("nan")}, {"tolerance": 0.0}, {"tolerance": float("inf")},
     # wrong field types: a bool, float or str is refused, not echoed back
     {"d_min": True, "d_max": 2, "samples_per_coset": 1}, {"d_max": 2.0},
     {"d_min": 1.5}, {"samples_per_coset": 2.5}, {"samples_per_coset": True},
     {"seed": 1.5}, {"seed": "x"}, {"seed": True},
-    {"tolerance": True}, {"tolerance": "1e-9"}, {"tolerance": 1e-9 + 0j},
     # random.Random(-5) seeds as random.Random(5)
     {"seed": -5},
 ])
@@ -591,9 +596,10 @@ def test_verify_refuses_oversized_runs_before_any_work(d_min, d_max, samples, ca
 def test_verify_defaults_come_from_verify_config():
     args = cli._build_parser().parse_args(["verify"])
     config = VerifyConfig()
-    assert (args.d_min, args.d_max, args.samples, args.seed, args.tol) == (
-        config.d_min, config.d_max, config.samples_per_coset, config.seed,
-        config.tolerance)
+    assert [field.name for field in dataclasses.fields(config)] == [
+        "d_min", "d_max", "samples_per_coset", "seed"]
+    assert (args.d_min, args.d_max, args.samples, args.seed) == (
+        config.d_min, config.d_max, config.samples_per_coset, config.seed)
 
 
 def _wrap_everywhere(monkeypatch, original, wrapper):

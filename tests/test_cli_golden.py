@@ -26,7 +26,8 @@ W5_AT_30 = json.dumps({"d": "30", "s": "5", "abce": ["5", "4", "1", "1"]})
 SWAP = json.dumps([["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]])
 NOT_ISOMETRY = json.dumps([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
-# (argv, stdin, exit code, stderr, sha256 of stdout)
+# (argv, stdin, exit code, stderr, sha256 of stdout).  The verify-fails-*
+# cases run with verify's defect bound patched to 1e-300 (see test_cli_golden).
 CASES = {
     'table-json': (
         'table --d-min 1 --d-max 30 --format json', None, 0, '',
@@ -80,7 +81,7 @@ CASES = {
         'verify --d-min 1 --d-max 6 --samples 3 --format json', None, 0, '',
         '3b58f14e599975ce08dc9c5bb461e2762870e92524dbff102673ccb89f377072'),
     'verify-fails-json': (
-        'verify --d-min 1 --d-max 6 --samples 5 --seed 7 --tol 1e-300 --format json', None, 1, '',
+        'verify --d-min 1 --d-max 6 --samples 5 --seed 7 --format json', None, 1, '',
         '3798b05c4ee378c87c78eaaeb40e41ec207c663000330b8d8c9632a0bb6a27a9'),
     'verify-2310-json': (
         'verify --d-min 2310 --d-max 2310 --samples 2 --format json', None, 0, '',
@@ -89,7 +90,7 @@ CASES = {
     # most and a level has more cosets than small runs touch.  Like
     # verify-2310-*, they pass the charge verdict only because it is decided
     # exactly: the float charge product they report cancels catastrophically
-    # at large d and lies far above --tol.
+    # at large d and lies far above the fixed 1e-9.
     'verify-510510-json': (
         'verify --d-min 510510 --d-max 510510 --samples 2 --seed 3 --format json', None, 0, '',
         'cfd8876bb028eec0e45ece5c35aa2271844f88cbd0dc4fdecc138f398b13de6c'),
@@ -147,7 +148,7 @@ CASES = {
         'verify --d-min 1 --d-max 6 --samples 3 --format csv', None, 0, '',
         'b3b0063699029ad214c45feecb740b5755ae0ee7e9e4e568824bc2c2cdc612d8'),
     'verify-fails-csv': (
-        'verify --d-min 1 --d-max 6 --samples 5 --seed 7 --tol 1e-300 --format csv', None, 1, '',
+        'verify --d-min 1 --d-max 6 --samples 5 --seed 7 --format csv', None, 1, '',
         '47e3cd9e6e4dfc4fdd4868bc13a0a0b8e64a82d42d791d24acf5c193da59d3bd'),
     'verify-2310-csv': (
         'verify --d-min 2310 --d-max 2310 --samples 2 --format csv', None, 0, '',
@@ -186,7 +187,7 @@ CASES = {
         'verify --d-min 1 --d-max 6 --samples 3 --format text', None, 0, '',
         '2a0f5d4eb2166a71456dfbdd45d72d0770b070f98f930e4ac99f1e8d40df02c8'),
     'verify-fails-text': (
-        'verify --d-min 1 --d-max 6 --samples 5 --seed 7 --tol 1e-300 --format text', None, 1, '',
+        'verify --d-min 1 --d-max 6 --samples 5 --seed 7 --format text', None, 1, '',
         '45229cf5319f8417b869e2b8a44e0b0322e02fab38ca617d7cb99a29afb77f25'),
     'verify-2310-text': (
         'verify --d-min 2310 --d-max 2310 --samples 2 --format text', None, 0, '',
@@ -225,7 +226,7 @@ CASES = {
         'verify --d-max 6 --samples 2 --seed -5', None, 2, 'error: seed must be non-negative, got -5\n',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-bad-format': (
-        'verify --format yaml', None, 2, "usage: k3fm verify [-h] [--d-min D_MIN] [--d-max D_MAX] [--samples SAMPLES]\n                   [--seed SEED] [--tol TOL] [--format {json,csv,text}]\nk3fm verify: error: argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')\n",
+        'verify --format yaml', None, 2, "usage: k3fm verify [-h] [--d-min D_MIN] [--d-max D_MAX] [--samples SAMPLES]\n                   [--seed SEED] [--format {json,csv,text}]\nk3fm verify: error: argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')\n",
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'unknown-subcommand': (
         'frobnicate', None, 2, "usage: k3fm [-h] {table,partners,classify,verify} ...\nk3fm: error: argument command: invalid choice: 'frobnicate' (choose from 'table', 'partners', 'classify', 'verify')\n",
@@ -315,6 +316,8 @@ def _run(capsys, monkeypatch, argv, stdin, columns="80"):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_golden(case, capsys, monkeypatch):
     argv, stdin, code, err, digest = CASES[case]
+    if case.startswith("verify-fails-"):  # every float defect lies above 1e-300
+        monkeypatch.setattr("k3fm.verify._TOLERANCE", 1e-300)
     assert _run(capsys, monkeypatch, argv, stdin) == (code, err, digest)
 
 
