@@ -226,6 +226,12 @@ def test_json_refuses_floats_bools_and_loose_strings():
         al_from_json({"d": "6", "s": "2", "abce": ["2", "1", "1", "9" * 5000]})
 
 
+def test_closure_violation_is_a_bug_trap():
+    # al_mul's divisibility asserts never fire on valid input; simulate the
+    # trap by checking the exception type exists and is a RuntimeError.
+    assert issubclass(InternalClosureViolation, RuntimeError)
+
+
 # First 20 random_gamma0 draws (a, b, c, e) per (d, seed), recorded before the
 # closed-form sampler, and the generator's next 32 bits after them: both the
 # elements and the number of RNG calls are pinned.
