@@ -84,8 +84,11 @@ def _json(obj, parts: list[str], newline: str) -> None:
         for key, value in sorted(obj.items()):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(f"{sep}{_json_str(key)}: ")
-            _json(value, parts, inner)
+            if (leaf := _JSON_LEAVES.get(type(value))) is not None:
+                parts.append(f"{sep}{_json_str(key)}: {leaf(value)}")
+            else:
+                parts.append(f"{sep}{_json_str(key)}: ")
+                _json(value, parts, inner)
             sep = "," + inner
         parts.append(newline + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple, Iterator)):

@@ -17,8 +17,8 @@ no check.
 
 from __future__ import annotations
 
-import math
 import random
+from math import gcd, isqrt
 
 from .arith import Factorization
 from .errors import K3FMError, NotAnIsometry, NotInImage
@@ -59,9 +59,13 @@ def represent(w: ALElement) -> IsometryN:
 
 
 def _match_level(h, d: int, s: int) -> ALElement | None:
-    """Read a level-s quintuple off the integer matrix h (det +1), or None.
+    """Read a level-s quintuple off the integer matrix h (det +1), or None;
+    s divides h11, h33 and d.
 
-    The corners give |a|, |b|, |c|, |e|, and up to the projective sign the
+    The corners give |a|, |b|, |c|, |e|: h11 = e^2*s, h33 = a^2*s,
+    h31 = b^2*(d/s) and h13 = c^2*(d/s).  s divides h11 and h33 because
+    `descend`, the only caller, takes s = gcd(h11, h33, d), so only the two
+    quotients by d/s can leave a remainder.  Up to the projective sign the
     signs are forced: with e > 0 by h21 = b*e, h12 = 2*c*d*e and
     h22 + 1 = 2*a*e*s; with e = 0, b*c*(d/s) = -1, so c > 0 means b < 0 and
     h23 = a*c signs a.  The entry pattern, checked last, holds
@@ -72,14 +76,15 @@ def _match_level(h, d: int, s: int) -> ALElement | None:
     """
     t = d // s
     (h11, h12, h13), (h21, h22, h23), (h31, h32, h33) = h
-    roots = []
-    for num, div in ((h11, s), (h33, s), (h31, t), (h13, t)):
-        q, rem = divmod(num, div)
-        root = math.isqrt(q) if q >= 0 and not rem else -1
-        if root < 0 or root * root != q:
-            return None
-        roots.append(root)
-    e, a, b, c = roots
+    ee = h11 // s
+    aa = h33 // s
+    bb, rb = divmod(h31, t)
+    cc, rc = divmod(h13, t)
+    if rb or rc or ee < 0 or aa < 0 or bb < 0 or cc < 0:
+        return None
+    e, a, b, c = isqrt(ee), isqrt(aa), isqrt(bb), isqrt(cc)
+    if e * e != ee or a * a != aa or b * b != bb or c * c != cc:
+        return None
     if e:
         a, b, c = a if h22 >= 0 else -a, b if h21 > 0 else -b, c if h12 > 0 else -c
     else:
@@ -103,7 +108,7 @@ def descend(g: IsometryN) -> ALElement:
     if det not in (1, -1):
         raise NotInImage(f"determinant {det} is not +-1")
     h = g.m if det == 1 else mat_neg(g.m)
-    s = math.gcd(h[0][0], h[2][2], g.d)
+    s = gcd(h[0][0], h[2][2], g.d)
     w = _match_level(h, g.d, s)
     if w is None:
         raise NotInImage("entry pattern matches no Atkin-Lehner coset")

@@ -8,6 +8,10 @@ Atkin-Lehner image, which fixes the rank and twist data of its action on
 the upper half plane.  Actual derived categories are not representable
 here; the groupoid carries partner labels as objects and this is
 documented as the numerical shadow only.
+
+`PartnerLabel` and `InducedTransform` check what they are given;
+`induced_transform` checks r once and builds its image, labels and
+transform unchecked, from closed forms its docstring proves.
 """
 
 from __future__ import annotations
@@ -101,6 +105,8 @@ class InducedTransform:
     twists n_src = -c*e and n_tgt = a*c of its fractional-linear action.
     Each is c times one of c, e, a, so either sign of the quintuple gives
     the same data; c == 0 (a translation) gives the rank-zero (0, 0, 0).
+    `induced_transform` builds its value without this construction: its
+    image has c = 1, so the rank is r and the twists are n and 1.
     """
 
     source: PartnerLabel
@@ -130,15 +136,27 @@ def induced_transform(d: int, r: int) -> InducedTransform:
     surface itself.
 
     With n the source twist and s = d/r, the image is the level-s element
-    with quintuple (1, -(r + d*n)/r^2, 1, -n); the determinant identity
-    holds automatically and the target twist is 1 because the universal
-    family restricts over a point to sheaves with vector (r, 1, s).  Were
-    r^2 not to divide r + d*n, with remainder rem, the floored quotient
-    would give determinant 1 - rem/r != 1, and ALElement would refuse it.
+    with quintuple (1, -(r + d*n)/r^2, 1, -n), and the target twist is 1
+    because the universal family restricts over a point to sheaves with
+    vector (r, 1, s).  source_twist checks r; nothing is checked again,
+    since each check would pass.  (d/r)*n = -1 (mod r) makes
+    d*n = r*(d/r)*n = -r (mod r^2), so r^2 divides r + d*n, and then
+    a*e*s - b*c*(d/s) = -n*(d/r) + (r + d*n)/r = 1.  The labels min(r, d/r)
+    and 1 are exact divisors at most sqrt(d), the coset level d/r is their
+    star or its complement, and with c = 1 the rank c^2*(d/s) and the twists
+    -c*e and a*c are r, n and 1.
     """
     n = source_twist(d, r)
-    image = ALElement(d, d // r, 1, -((r + d * n) // (r * r)), 1, -n)
-    return InducedTransform(partner_label(d, r), partner_label(d, 1), image)
+    s = d // r
+    image = ALElement.proved(d, s, 1, -((r + d * n) // (r * r)), 1, -n)
+    source = object.__new__(PartnerLabel)
+    source.__dict__.update(d=d, r=min(r, s))
+    target = object.__new__(PartnerLabel)
+    target.__dict__.update(d=d, r=1)
+    t = object.__new__(InducedTransform)
+    t.__dict__.update(source=source, target=target, image=image, rank=r, n_src=n,
+                      n_tgt=1)
+    return t
 
 
 def compose(t1: InducedTransform, t2: InducedTransform) -> InducedTransform:

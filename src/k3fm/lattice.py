@@ -39,11 +39,9 @@ def mat_neg(a: Matrix) -> Matrix:
 
 
 def mat_det(a: Matrix) -> int:
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    return (a11 * (a22 * a33 - a23 * a32) - a12 * (a21 * a33 - a23 * a31)
+            + a13 * (a21 * a32 - a22 * a31))
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,11 @@ def is_orientation_preserving(g: IsometryN) -> bool:
     """
     if not is_isometry(g):
         raise NotAnIsometry("matrix does not preserve the Gram form")
-    d, m = g.d, g.m
-    u0, u_ell, u4 = (row[0] - d * row[2] for row in m)  # v = g*p2 is column 1
-    return (d * u0 - u4) * m[1][1] > u_ell * (d * m[0][1] - m[2][1])
+    d = g.d
+    # u = g*p1 is column 0 less d times column 2; v = g*p2 is column 1
+    (m00, v0, m02), (m10, v_ell, m12), (m20, v4, m22) = g.m
+    return ((d * (m00 - d * m02) - (m20 - d * m22)) * v_ell
+            > (m10 - d * m12) * (d * v0 - v4))
 
 
 def discriminant_unit(g: IsometryN) -> int:

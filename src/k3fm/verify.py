@@ -24,10 +24,10 @@ __all__ = ["MAX_SAMPLED_ELEMENTS", "VerifyConfig", "run_verify"]
 # Most coset elements one run may sample, samples * sum of 2**omega(d) over
 # its levels.  Per-level work (factorization, the per-divisor transforms and
 # analytic points) is not counted, so the cost of an element varies about
-# tenfold with the level.  Runs near the bound took 2.3-2.6 s at d = 1 (36-39
-# us per element), 13 s on the one level of omega 15 below 2**64 (200 us)
-# and 22-23 s on the 2000 levels below 2**64 (62812 elements, about 360 us
-# each), whole-process wall time on a 2-vCPU x86_64 host, Python 3.11;
+# tenfold with the level.  Runs near the bound took 0.77-0.81 s at d = 1
+# (12 us per element), 4.1-4.2 s on the one level of omega 15 below 2**64
+# (63 us) and 8.8 s on the 2000 levels below 2**64 (62812 elements, about
+# 140 us each), whole-process wall time on a 2-vCPU x86_64 host, Python 3.11;
 # `verify --d-max 200` samples 40050.
 MAX_SAMPLED_ELEMENTS = 2**16
 

@@ -227,8 +227,17 @@ def test_json_refuses_floats_bools_and_loose_strings():
 
 
 def test_closure_violation_is_a_bug_trap():
-    # al_mul's divisibility asserts never fire on valid input; simulate the
-    # trap by checking the exception type exists and is a RuntimeError.
+    # The coset law makes al_mul's read-back divisions exact: W_2 times W_3
+    # at d = 6 lands in W_6 with g = 1.  A product one off that law trips
+    # the trap, a RuntimeError, since it means a bug and not bad input.
+    w1, w2 = base_element(6, 2), base_element(6, 3)
+    (x11, x12), (x21, x22) = (w1.a * 2, w1.b), (w1.c * 6, w1.e * 2)
+    (y11, y12), (y21, y22) = (w2.a * 3, w2.b), (w2.c * 6, w2.e * 3)
+    p = [x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+         x21 * y11 + x22 * y21, x21 * y12 + x22 * y22]
+    assert modgroup._read_back(6, 6, 1, *p) == al_mul(w1, w2)
+    with pytest.raises(InternalClosureViolation, match="closure failed for W_6 at d=6"):
+        modgroup._read_back(6, 6, 1, p[0] + 1, *p[1:])
     assert issubclass(InternalClosureViolation, RuntimeError)
 
 

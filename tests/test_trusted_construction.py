@@ -1,9 +1,10 @@
 """The producers that build `ALElement` and `IsometryN` without the
 constructors' checks: `modgroup._read_back` (behind `al_mul` and
-`random_al`), `corr._match_level` (behind `descend`) and `corr.represent`.
-What each returns must be the value the checked constructor builds, and
-each check those producers keep must refuse what it alone stands between
-a wrong input and a wrong value."""
+`random_al`), `corr._match_level` (behind `descend`), `corr.represent` and
+`fmcalc.induced_transform` (which also builds its labels and transform
+unchecked).  What each returns must be the value the checked constructors
+build, and each check those producers keep must refuse what it alone stands
+between a wrong input and a wrong value."""
 
 import ast
 import random
@@ -15,7 +16,8 @@ import k3fm
 from k3fm import modgroup
 from k3fm.arith import exact_divisor_values
 from k3fm.corr import descend, represent
-from k3fm.errors import InternalClosureViolation, NotInImage
+from k3fm.errors import InternalClosureViolation, InvalidLevel, NotInImage
+from k3fm.fmcalc import InducedTransform, induced_transform, partner_label
 from k3fm.lattice import IsometryN, mat_det, mat_neg
 from k3fm.modgroup import ALElement, al_mul, base_element, random_al, translation
 
@@ -69,6 +71,25 @@ def test_represent_and_descend_build_what_the_constructor_builds(d):
         _assert_same(descend(IsometryN(d, mat_neg(g.m))), w)
 
 
+@pytest.mark.parametrize("d", (1,) + LEVELS)
+def test_induced_transform_builds_what_the_constructors_build(d):
+    for r in exact_divisor_values(d):
+        t = induced_transform(d, r)
+        n = t.n_src
+        image = ALElement(d, d // r, 1, -((r + d * n) // (r * r)), 1, -n)
+        _assert_same(t, InducedTransform(partner_label(d, r), partner_label(d, 1), image))
+        _assert_same(t.source, partner_label(d, r))
+        _assert_same(t.target, partner_label(d, 1))
+        _assert_same(t.image, image)
+
+
+# 2 and 6 divide 12 but are not exact (4 is: 12 = 4 * 3 with gcd(4, 3) = 1).
+@pytest.mark.parametrize("d, r", [(12, 2), (12, 6), (12, 0), (12, 13), (1, 0), (1, 2)])
+def test_induced_transform_refuses_what_is_not_an_exact_divisor(d, r):
+    with pytest.raises(InvalidLevel):
+        induced_transform(d, r)
+
+
 def test_proved_normalizes_the_projective_sign():
     for quintuple in ((2, 1, 1, 1), (-2, -1, -1, -1)):
         _assert_same(ALElement.proved(6, 2, *quintuple), ALElement(6, 2, 2, 1, 1, 1))
@@ -78,10 +99,10 @@ def test_proved_normalizes_the_projective_sign():
 # The only (module, function) pairs that may read `ALElement.proved` or
 # `IsometryN.proved`: nothing else in the package builds without the checks.
 TRUSTED_CALLERS = {("modgroup", "_read_back"), ("corr", "_match_level"),
-                   ("corr", "represent")}
+                   ("corr", "represent"), ("fmcalc", "induced_transform")}
 
 
-def test_only_the_three_producers_build_unchecked():
+def test_only_the_trusted_producers_build_unchecked():
     src = Path(k3fm.__file__).resolve().parent
     callers = set()
     for path in sorted(src.glob("*.py")):
@@ -143,13 +164,27 @@ def test_descend_refuses_h32_where_the_determinant_does_not_pin_it():
 # Matrices of determinant one at d = 6, each refused by one comparison of
 # _match_level alone, the one named: a*e*s - b*c*(d/s) = 1 (the quintuple
 # read off is (0, 1, 1, 1) at s = 6), h21 = b*e, h23 = a*c, h12 = 2*c*d*e
-# or h32 = 2*a*b*d.
+# or h32 = 2*a*b*d; the remainder of h31 or h13 by d/s; a corner quotient
+# that is negative (isqrt would raise) or not a square.  A corner entry
+# is free in det(h) where its cofactor, a^2*s for h11, e^2*s for h33,
+# c^2*(d/s) for h31 and b^2*(d/s) for h13, is 0, so each square and
+# remainder case is a lift with that factor 0 and the corner moved.
 ONE_COMPARISON_FROM_A_LIFT = {
     "determinant": ((6, 12, 1), (1, -1, 0), (1, 0, 0)),
     "h21": ((1, 0, 0), (-1, 1, 0), (0, 0, 1)),
     "h23": ((1, 0, 0), (0, 1, -1), (0, 0, 1)),
     "h12": ((1, -1, 0), (0, 1, 0), (0, 0, 1)),
     "h32": ((1, 0, 0), (0, 1, 0), (0, -1, 1)),
+    "h31_remainder": ((1, 0, 0), (1, 1, 0), (7, 12, 1)),
+    "h13_remainder": ((1, 12, 7), (0, 1, 1), (0, 0, 1)),
+    "h11_negative": ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+    "h33_negative": ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+    "h31_negative": ((1, 0, 0), (0, 1, 0), (-6, 0, 1)),
+    "h13_negative": ((1, 0, -6), (0, 1, 0), (0, 0, 1)),
+    "h11_square": ((12, 12, 1), (-1, -1, 0), (1, 0, 0)),
+    "h33_square": ((0, 0, 1), (0, -1, 1), (1, -12, 12)),
+    "h31_square": ((1, 0, 0), (1, 1, 0), (12, 12, 1)),
+    "h13_square": ((1, 12, 12), (0, 1, 1), (0, 0, 1)),
 }
 
 
