@@ -23,10 +23,10 @@ import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .arith import Factorization, _range_problem, factorize_window
+from .arith import Factorization, _range_problem, factorize, factorize_window
 from .corr import descend, represent
 from .errors import K3FMError
-from .fmcalc import induced_transform, partner_census, partner_representatives
+from .fmcalc import induced_transform, partner_representatives
 from .lattice import discriminant_unit, is_orientation_preserving, isometry_from_json
 from .modgroup import al_from_json, al_to_json, fricke_coset_count, is_fricke
 from .verify import VerifyConfig, run_verify
@@ -166,12 +166,12 @@ def _cmd_partners(args) -> int:
     _check_positive(args.d)
     if (problem := _range_problem(args.d, args.d)) is not None:
         raise _Exit(2, problem)
-    labels = []
-    for lab in partner_census(args.d):
-        image = induced_transform(args.d, lab.r).image
-        labels.append({"r": str(lab.r), "moduli": lab.moduli, "fine": lab.is_fine,
-                       "image": al_to_json(image), "coset_level": str(image.s)})
-    fm_number = str(len(labels))
+    reps = partner_representatives(factorize(args.d))
+    fm_number = str(len(reps))
+    labels = ({"r": str(t.source.r), "moduli": t.source.moduli,
+               "fine": t.source.is_fine, "image": al_to_json(t.image),
+               "coset_level": str(t.image.s)}
+              for t in map(induced_transform, itertools.repeat(args.d), reps))
     _emit(args.format, {"d": str(args.d), "fm_number": fm_number, "labels": labels},
           ["d", "r", "moduli", "fine", "coset_level", "a", "b", "c", "e"],
           ([str(args.d), e["r"], e["moduli"], _flag(e["fine"]), e["coset_level"],

@@ -115,14 +115,10 @@ def descend(g: IsometryN) -> ALElement:
     return w
 
 
-def check_sample(w: ALElement, g: IsometryN | None = None) -> tuple[str, ...]:
-    """Failed check names for one sampled coset element; empty means clean.
-
-    g defaults to represent(w); passing a different matrix lets a harness
-    confirm that corruption is actually detected.
-    """
-    if g is None:
-        g = represent(w)
+def check_sample(w: ALElement) -> tuple[str, ...]:
+    """Failed check names for one sampled coset element's lift represent(w);
+    empty means clean."""
+    g = represent(w)
     d = w.d
     failed = []
     try:

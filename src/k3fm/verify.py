@@ -55,9 +55,11 @@ class VerifyConfig:
             raise ValueError("samples per coset must be at least 1")
         if self.seed < 0:  # random.Random(-n) would seed as random.Random(n)
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # Every level has at least one coset, so the level count bounds the
-        # sum from below and the sum walks at most MAX_SAMPLED_ELEMENTS levels.
-        sampled = (self.d_max - self.d_min + 1) * self.samples_per_coset
+        # Every level but d = 1 has at least two cosets, so this count bounds
+        # the sum from below and the sum walks about MAX_SAMPLED_ELEMENTS / 2
+        # levels at most.
+        levels = self.d_max - self.d_min + 1
+        sampled = (2 * levels - (self.d_min == 1)) * self.samples_per_coset
         if sampled <= MAX_SAMPLED_ELEMENTS:
             sampled = 0
             for level in factorize_window(self.d_min, self.d_max):

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -276,6 +277,26 @@ def test_partners_large_prime_within_budget(capsys, time_budget):
     assert json.loads(out)["fm_number"] == "1"
 
 
+def test_partners_writes_each_label_as_it_is_built(monkeypatch):
+    # 2**14 labels at the 15th primorial: JSON goes out in batches while the
+    # listing is built, so some canonical transform is built after the first
+    # write; a listing held whole until its last label was built writes none
+    # before then
+    writes, written_before = [], []
+
+    def building(d, r):
+        written_before.append(sum(map(len, writes)))
+        return induced_transform(d, r)
+
+    monkeypatch.setattr("k3fm.cli.induced_transform", building)
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append,
+                                                      flush=lambda: None))
+    assert main(["partners", "--d", "614889782588491410", "--format", "json"]) == 0
+    assert len(written_before) == 2**14
+    assert written_before[0] == 0 < written_before[-1]
+    assert "".join(writes).endswith("\n  ]\n}\n")
+
+
 def test_levels_from_two_to_the_64_exit_2(capsys, time_budget):
     big, below = str(2**64), str(2**64 - 1)
     for argv in (
@@ -506,7 +527,7 @@ def test_verify_charge_verdict_refuses_a_shifted_twist(monkeypatch):
 def test_verify_reports_each_correspondence_failure(capsys, monkeypatch):
     seen = []
 
-    def fail_round_trip(w, g=None):
+    def fail_round_trip(w):
         seen.append(al_to_json(w))
         return ("round_trip",)
 
@@ -577,8 +598,10 @@ def test_verify_config_refuses_configs_that_check_nothing(kwargs):
 
 # (d_min, d_max, samples), each over the bound on samples x sum of
 # 2**omega(d): 10**9 levels; 100000 samples at d = 1; 4 x 2**15 at the 15th
-# primorial, the one level of omega 15 below 2**64.
-OVERSIZED = [(1, 10**9, 1), (1, 1, 100000), (614889782588491410, 614889782588491410, 4)]
+# primorial, the one level of omega 15 below 2**64; the 2**16 levels just
+# below 2**64, refused by their two cosets each before any is factorized.
+OVERSIZED = [(1, 10**9, 1), (1, 1, 100000), (614889782588491410, 614889782588491410, 4),
+             (2**64 - 2**16, 2**64 - 1, 1)]
 
 
 @pytest.mark.parametrize("d_min, d_max, samples", OVERSIZED)

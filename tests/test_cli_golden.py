@@ -50,6 +50,9 @@ CASES = {
     'partners-9699690-json': (
         'partners --d 9699690 --format json', None, 0, '',
         '99af0254dfa1395d94b3c70467b783c2d6e70e67e5d9559ef4bd47fd6be7fe15'),
+    'partners-614889782588491410-json': (
+        'partners --d 614889782588491410 --format json', None, 0, '',
+        'cff838a2bb20530cbad70c2414e6a1fd05e609aaa3004f77a53eb145e7219a96'),
     'partners-1099503239183-json': (
         'partners --d 1099503239183 --format json', None, 0, '',
         '10f2c5259fd0093ea7733fe2651edb3647272c4c566c07fd97127b4c82bb03f2'),

@@ -124,20 +124,25 @@ def test_fricke_criterion_random():
             assert (u in (1, 2 * d - 1)) == is_fricke(w)
 
 
-def test_check_sample_clean_and_corrupted():
+def _lift_to(monkeypatch, g):
+    """Make check_sample judge g in place of represent(w)."""
+    monkeypatch.setattr("k3fm.corr.represent", lambda w: g)
+
+
+def test_check_sample_clean_and_corrupted(monkeypatch):
     w = base_element(6, 2)
     assert check_sample(w) == ()
-    corrupted = IsometryN(6, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    assert check_sample(w, corrupted) != ()
+    _lift_to(monkeypatch, IsometryN(6, ((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+    assert check_sample(w) != ()
     # a genuine lift of another coset element: integral, Gram- and
     # orientation-preserving, but it descends to the level-6 element and
     # acts on the discriminant group by a sign, which the lift of the
     # non-Fricke level-2 element must not
-    assert check_sample(w, represent(base_element(6, 6))) == (
-        "round_trip", "fricke_criterion")
+    _lift_to(monkeypatch, represent(base_element(6, 6)))
+    assert check_sample(w) == ("round_trip", "fricke_criterion")
 
 
-def test_check_sample_names_each_failed_check():
+def test_check_sample_names_each_failed_check(monkeypatch):
     """One Gram test serves both checks: a matrix that does not preserve the
     Gram form fails `isometry` (and no orientation is read off it), and a
     Gram-preserving lift composed with ell -> -ell fails `orientation`."""
@@ -145,10 +150,11 @@ def test_check_sample_names_each_failed_check():
     for d, s in ((1, 1), (6, 2), (30, 5), (2310, 7)):
         w = base_element(d, s)
         g = represent(w)
-        shear = IsometryN(d, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-        assert check_sample(w, shear) == ("isometry", "round_trip", "fricke_criterion")
+        _lift_to(monkeypatch, IsometryN(d, ((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+        assert check_sample(w) == ("isometry", "round_trip", "fricke_criterion")
         for m in (mat_mul(flip, g.m), mat_mul(g.m, flip)):
-            assert check_sample(w, IsometryN(d, m)) == ("orientation", "round_trip")
+            _lift_to(monkeypatch, IsometryN(d, m))
+            assert check_sample(w) == ("orientation", "round_trip")
 
 
 def test_verify_correspondence_trivial_level():

@@ -192,9 +192,9 @@ def test_no_unread_public_names():
     assert not unread, unread
 
 
-# check_sample's `g` lets a test hand in a wrong lift to see it caught; no
-# caller in the package or the benchmark needs it.
-UNSET_KNOBS_ALLOWED = {("corr", "check_sample", "g")}
+# (module, function, parameter) of a default no caller sets; tests inject
+# faults with monkeypatch, not through a parameter, so none is allowed.
+UNSET_KNOBS_ALLOWED: set[tuple[str, str, str]] = set()
 
 
 def _defaults(tree: ast.AST):
