@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_str
@@ -279,6 +280,17 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------- main
 
 
+def _int(text: str) -> int:
+    """`int` on the wire's grammar, `-?[0-9]+` in ASCII digits: `int` alone
+    also takes `" 6"`, `"+6"`, `"1_0"` and other scripts' digits."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's usage error reads `invalid int value: ...`
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage and help are wrapped at the width argparse takes from
     COLUMNS=80, so they never depend on the terminal (and no parser probes
@@ -306,13 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_table = sub.add_parser("table", help="census table over a range of d")
-    p_table.add_argument("--d-min", type=int, default=1)
-    p_table.add_argument("--d-max", type=int, default=50)
+    p_table.add_argument("--d-min", type=_int, default=1)
+    p_table.add_argument("--d-max", type=_int, default=50)
     p_table.add_argument("--format", choices=_FORMATS, default="csv")
     p_table.set_defaults(func=_cmd_table)
 
     p_partners = sub.add_parser("partners", help="partner census for one d")
-    p_partners.add_argument("--d", type=int, required=True)
+    p_partners.add_argument("--d", type=_int, required=True)
     p_partners.add_argument("--format", choices=_FORMATS, default="json")
     p_partners.set_defaults(func=_cmd_partners)
 
@@ -321,16 +333,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_classify.add_argument("path", nargs="?", default=None,
                             help="input file, or - for stdin (default)")
-    p_classify.add_argument("--d", type=int, default=None,
+    p_classify.add_argument("--d", type=_int, default=None,
                             help="level, required for bare 3x3 input")
     p_classify.add_argument("--format", choices=_FORMATS, default="json")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run the verification pipeline")
-    p_verify.add_argument("--d-min", type=int, default=VerifyConfig.d_min)
-    p_verify.add_argument("--d-max", type=int, default=VerifyConfig.d_max)
-    p_verify.add_argument("--samples", type=int, default=VerifyConfig.samples_per_coset)
-    p_verify.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p_verify.add_argument("--d-min", type=_int, default=VerifyConfig.d_min)
+    p_verify.add_argument("--d-max", type=_int, default=VerifyConfig.d_max)
+    p_verify.add_argument("--samples", type=_int, default=VerifyConfig.samples_per_coset)
+    p_verify.add_argument("--seed", type=_int, default=VerifyConfig.seed)
     p_verify.add_argument("--format", choices=_FORMATS, default="json")
     p_verify.set_defaults(func=_cmd_verify)
 

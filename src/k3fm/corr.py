@@ -5,9 +5,8 @@ hand-expanded entry formulas in which every sqrt(s) cancels, so integrality
 is an identity rather than a rounding question.  `descend` inverts the lift
 by reading the only possible level off the corner entries,
 s = gcd(h11, h33, d), and then checking the entry pattern at that level.
-Both build unchecked (`IsometryN.proved`, `ALElement.proved`): the lift's
-entries are int products, and the pattern `descend` matches holds
-a*e*s - b*c*(d/s) = 1.
+Both build unchecked: the lift's entries are int products, and the
+pattern `descend` matches holds a*e*s - b*c*(d/s) = 1.
 `verify_correspondence` samples every coset of a level and certifies, at
 desk scale, that the lift is Gram-preserving, orientation preserving,
 invertible by `descend`, and acts on the discriminant group by +-1 exactly
@@ -55,7 +54,9 @@ def represent(w: ALElement) -> IsometryN:
         (b * e, a * e * s + b * c * t, a * c),
         (b * b * t, 2 * a * b * d, a * a * s),
     )
-    return IsometryN.proved(d, m)
+    g = object.__new__(IsometryN)
+    g.__dict__.update(d=d, m=m)
+    return g
 
 
 def _match_level(h, d: int, s: int) -> ALElement | None:

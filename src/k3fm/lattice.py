@@ -8,8 +8,7 @@ positive 2-plane, and the induced unit on the discriminant group Z/2d.
 Matrices are 3x3 tuples of integers; columns are the images of the basis
 vectors (e0, ell, e4) and matrices act on coordinate columns from the left.
 A rational entry exists only on the wire: `isometry_from_json` reduces each
-one to an integer or refuses the matrix.  Only `corr.represent`, whose
-entries are int products, skips the constructor's checks (`IsometryN.proved`).
+one to an integer or refuses the matrix.
 """
 
 from __future__ import annotations
@@ -65,15 +64,6 @@ class IsometryN:
             if not isinstance(x, int):
                 raise TypeError(f"expected an int entry, got {type(x).__name__}")
         object.__setattr__(self, "m", (tuple(r0), tuple(r1), tuple(r2)))
-
-    @classmethod
-    def proved(cls, d: int, m: Matrix) -> IsometryN:
-        """IsometryN(d, m) without the constructor's checks, for a producer
-        that has proved them: d is an int >= 1 and m is a tuple of three
-        tuples of three ints."""
-        g = object.__new__(cls)
-        g.__dict__.update(d=d, m=m)
-        return g
 
 
 def is_isometry(g: IsometryN) -> bool:

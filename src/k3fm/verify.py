@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .arith import Factorization, _range_problem, factorize_window
 from .corr import descend, represent, verify_correspondence
+from .errors import NotInImage
 from .fmcalc import InducedTransform, induced_transform, partner_representatives
 from .halfplane import charge_product_defect, equivariance_defect, induced_action, mobius
 from .modgroup import fricke_coset_count, random_al
@@ -24,11 +25,11 @@ __all__ = ["MAX_SAMPLED_ELEMENTS", "VerifyConfig", "run_verify"]
 # Most coset elements one run may sample, samples * sum of 2**omega(d) over
 # its levels.  Per-level work (factorization, the per-divisor transforms and
 # analytic points) is not counted, so the cost of an element varies about
-# tenfold with the level.  Runs near the bound took 0.77-0.81 s at d = 1
-# (12 us per element), 4.1-4.2 s on the one level of omega 15 below 2**64
-# (63 us) and 8.8 s on the 2000 levels below 2**64 (62812 elements, about
-# 140 us each), whole-process wall time on a 2-vCPU x86_64 host, Python 3.11;
-# `verify --d-max 200` samples 40050.
+# tenfold with the level.  Runs near the bound took 0.83-1.23 s at d = 1
+# (13-19 us per element), 4.2-6.4 s on the one level of omega 15 below 2**64
+# (64-98 us) and 8.9-9.5 s on the 2000 levels below 2**64 (62812 elements,
+# 142-151 us each): six alternating whole-process runs, 2-vCPU Intel Xeon
+# x86_64, Python 3.11.7; `verify --d-max 200` samples 40050.
 MAX_SAMPLED_ELEMENTS = 2**16
 
 # The bound on the action and equivariance defects, every report's `tolerance`.
@@ -108,9 +109,13 @@ def _verify_level(level: Factorization, config: VerifyConfig,
     transforms = []
     for r in divisors:
         t = induced_transform(d, r)
-        s = descend(represent(t.image)).s
-        transforms.append({"r": str(r), "twist": str(t.n_src), "level": str(s),
-                           "expected_level": str(d // r), "ok": s == d // r})
+        try:
+            s = str(descend(represent(t.image)).s)
+        except NotInImage:  # the image's lift is no coset element's
+            s = None
+        expected = str(d // r)
+        transforms.append({"r": str(r), "twist": str(t.n_src), "level": s,
+                           "expected_level": expected, "ok": s == expected})
         charge_ok &= _charge_identity_holds(t)
         for _ in range(n_points):
             z = _sample_point(rng)

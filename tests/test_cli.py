@@ -17,7 +17,7 @@ from k3fm.corr import represent, verify_correspondence
 from k3fm.fmcalc import induced_transform, partner_census
 from k3fm.halfplane import charge_product_defect, mobius
 from k3fm.lattice import isometry_to_json
-from k3fm.modgroup import al_to_json, base_element, fricke_coset_count
+from k3fm.modgroup import ALElement, al_to_json, base_element, fricke_coset_count
 from k3fm.verify import _charge_identity_holds
 
 
@@ -524,6 +524,47 @@ def test_verify_charge_verdict_refuses_a_shifted_twist(monkeypatch):
     assert [level["analytic"]["ok"] for level in report["levels"]] == [False] * 6
 
 
+def _image_b_off(t):
+    """A copy of the transform t whose image has b one off, built unchecked
+    as `induced_transform` builds its images: with c = 1 and d/s = r, its
+    a*e*s - b*c*(d/s) is 1 - r, not 1."""
+    w = t.image
+    out = copy.copy(t)
+    object.__setattr__(out, "image", ALElement.proved(w.d, w.s, w.a, w.b + 1, w.c, w.e))
+    return out
+
+
+def test_charge_identity_refuses_an_image_with_b_off():
+    # b enters only the conjunct rank*b - n_tgt*e*s == -c, the one runtime
+    # check of the unchecked image's b.
+    for d in (6, 30, 510510):
+        for r in exact_divisor_values(d):
+            assert not _charge_identity_holds(_image_b_off(induced_transform(d, r))), (d, r)
+
+
+def test_verify_reports_an_image_that_does_not_descend(capsys, monkeypatch):
+    # The image of the r = 2 transform at d = 6 has determinant -1, so its
+    # lift descends to no coset: that transform fails, and so does the exact
+    # charge verdict.
+    def off_at_6_2(d, r):
+        t = induced_transform(d, r)
+        return _image_b_off(t) if (d, r) == (6, 2) else t
+
+    monkeypatch.setattr("k3fm.verify.induced_transform", off_at_6_2)
+    report, code = run_verify(VerifyConfig(1, 6, 1))
+    assert code == 1
+    level = report["levels"][5]
+    assert [t["ok"] for t in level["transforms"]] == [True, False, True, True]
+    assert level["transforms"][1] == {"r": "2", "twist": "1", "level": None,
+                                      "expected_level": "3", "ok": False}
+    assert level["analytic"]["ok"] is False
+    assert [lv["failures"] for lv in report["levels"]] == [0, 0, 0, 0, 0, 2]
+    assert report["total_failures"] == 2
+    code, out, err = run_cli(capsys, "verify", "--d-max", "6", "--samples", "1")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == report
+
+
 def test_verify_reports_each_correspondence_failure(capsys, monkeypatch):
     seen = []
 
@@ -547,6 +588,23 @@ def test_verify_reports_each_correspondence_failure(capsys, monkeypatch):
     assert code == 1
     assert [row for row in out.splitlines() if ",correspondence," in row] == [
         "1,correspondence,false,failures=3", "2,correspondence,false,failures=6"]
+
+
+# Spellings `int` takes that the wire's `-?[0-9]+` refuses: an Arabic-Indic
+# and a full-width digit, an underscore, surrounding space, a plus sign.
+LOOSE_INTS = ["\u0666", "\uff16", "1_0", " 6", "6 ", "+6"]
+
+
+@pytest.mark.parametrize("text", LOOSE_INTS)
+@pytest.mark.parametrize("command, option", [
+    ("partners", "--d"), ("classify", "--d"), ("table", "--d-min"),
+    ("table", "--d-max"), ("verify", "--d-min"), ("verify", "--d-max"),
+    ("verify", "--samples"), ("verify", "--seed"),
+])
+def test_integer_options_take_only_the_wire_grammar(command, option, text, capsys):
+    code, out, err = run_cli(capsys, command, option, text)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
 
 
 def test_verify_usage_error(capsys):

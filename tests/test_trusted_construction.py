@@ -1,10 +1,8 @@
-"""The producers that build `ALElement` and `IsometryN` without the
-constructors' checks: `modgroup._read_back` (behind `al_mul` and
-`random_al`), `corr._match_level` (behind `descend`), `corr.represent` and
-`fmcalc.induced_transform` (which also builds its labels and transform
-unchecked).  What each returns must be the value the checked constructors
-build, and each check those producers keep must refuse what it alone stands
-between a wrong input and a wrong value."""
+"""The producers that build values without the constructors' checks,
+each from invariants it has proved: `TRUSTED_CALLERS` below lists them all.
+What each returns must be the value the checked constructors build, and
+each check those producers keep must refuse what it alone stands between a
+wrong input and a wrong value."""
 
 import ast
 import random
@@ -96,10 +94,39 @@ def test_proved_normalizes_the_projective_sign():
     _assert_same(ALElement.proved(6, 6, 0, 1, -1, 0), ALElement(6, 6, 0, -1, 1, 0))
 
 
-# The only (module, function) pairs that may read `ALElement.proved` or
-# `IsometryN.proved`: nothing else in the package builds without the checks.
-TRUSTED_CALLERS = {("modgroup", "_read_back"), ("corr", "_match_level"),
-                   ("corr", "represent"), ("fmcalc", "induced_transform")}
+# The one rule: a producer that has proved a value's invariants builds it
+# with `object.__new__` and `__dict__.update`, and a helper exists only where
+# that build has a rule of its own: `ALElement.proved` normalizes the
+# projective sign, and `arith._proved` derives the divisor tuple.  These are
+# the only top-level (module, name) pairs that build with `object.__new__`
+# or read `proved` or `_proved`; nothing else in the package builds without
+# the checks.
+TRUSTED_CALLERS = {("arith", "_proved"), ("arith", "_window"), ("arith", "_last"),
+                   ("modgroup", "ALElement"), ("modgroup", "_read_back"),
+                   ("corr", "_match_level"), ("corr", "represent"),
+                   ("fmcalc", "induced_transform")}
+
+
+def _builds_unchecked(n):
+    """A read of `__new__` (as `object.__new__(cls)` makes), or of the
+    name or attribute `proved` or `_proved`."""
+    if isinstance(n, ast.Attribute):
+        name = n.attr
+    elif isinstance(n, ast.Name):
+        name = n.id
+    else:
+        return False
+    return name in ("__new__", "proved", "_proved") and isinstance(n.ctx, ast.Load)
+
+
+def _top_level_name(node):
+    """The name a top-level statement binds: a def's or class's, or an
+    assignment's (`_last: ... = [_proved(1, ())]` is the slot `_last`)."""
+    if isinstance(node, ast.Assign):
+        return node.targets[0].id
+    if isinstance(node, ast.AnnAssign):
+        return node.target.id
+    return getattr(node, "name", None)
 
 
 def test_only_the_trusted_producers_build_unchecked():
@@ -108,10 +135,8 @@ def test_only_the_trusted_producers_build_unchecked():
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            for n in ast.walk(node):
-                if (isinstance(n, ast.Attribute) and n.attr == "proved"
-                        and isinstance(n.ctx, ast.Load)):
-                    callers.add((path.stem, getattr(node, "name", None)))
+            if any(map(_builds_unchecked, ast.walk(node))):
+                callers.add((path.stem, _top_level_name(node)))
     assert callers == TRUSTED_CALLERS
 
 
