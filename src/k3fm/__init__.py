@@ -55,7 +55,6 @@ from .lattice import (
 )
 from .modgroup import (
     ALElement,
-    al_identity,
     al_inverse,
     al_mul,
     base_element,
@@ -63,7 +62,6 @@ from .modgroup import (
     is_fricke,
     random_al,
     random_gamma0,
-    translation,
 )
 
 __version__ = "0.1.0"

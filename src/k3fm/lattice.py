@@ -26,7 +26,6 @@ __all__ = [
     "is_isometry",
     "is_orientation_preserving",
     "discriminant_unit",
-    "isometry_to_json",
     "isometry_from_json",
 ]
 
@@ -126,11 +125,6 @@ def discriminant_unit(g: IsometryN) -> int:
             f"multiplier {u} does not preserve the discriminant form mod {2 * twod}"
         )
     return u
-
-
-def isometry_to_json(g: IsometryN) -> list:
-    """Row-major 3x3 array of decimal integer strings (e.g. "7" or "-12")."""
-    return [[str(int(x)) for x in row] for row in g.m]
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -39,8 +39,6 @@ from .errors import (
 
 __all__ = [
     "ALElement",
-    "al_identity",
-    "translation",
     "al_mul",
     "al_inverse",
     "is_fricke",
@@ -96,15 +94,6 @@ class ALElement:
         w = object.__new__(cls)
         w.__dict__.update(d=d, s=s, a=a, b=b, c=c, e=e)
         return w
-
-
-def al_identity(d: int) -> ALElement:
-    return ALElement(d, 1, 1, 0, 0, 1)
-
-
-def translation(d: int, m: int) -> ALElement:
-    """The Gamma0(d) element acting as z -> z + m."""
-    return ALElement(d, 1, 1, m, 0, 1)
 
 
 def al_mul(w1: ALElement, w2: ALElement) -> ALElement:
@@ -224,7 +213,7 @@ def _gamma0_draw(d: int, rng: random.Random) -> tuple[int, int, int, int]:
         b = (a * e - 1) // cd
     j = _below(getrandbits, _N, _K) - _SPAN
     m = _below(getrandbits, _N, _K) - _SPAN
-    # translation(d, j) * [[a, b], [c*d, e]] * translation(d, m), multiplied out
+    # [[1, j], [0, 1]] * [[a, b], [c*d, e]] * [[1, m], [0, 1]], multiplied out
     top = a + j * cd
     b, e = top * m + b + j * e, e + m * cd
     if top * e - b * cd != 1:

@@ -23,9 +23,11 @@ from .modgroup import fricke_coset_count, random_al
 __all__ = ["MAX_SAMPLED_ELEMENTS", "VerifyConfig", "run_verify"]
 
 # Most coset elements one run may sample, samples * sum of 2**omega(d) over
-# its levels.  Per-level work (factorization, the per-divisor transforms and
-# analytic points) is not counted, so the cost of an element varies about
-# tenfold with the level.  Runs near the bound took 0.83-1.23 s at d = 1
+# its levels.  VerifyConfig keeps one running count of it, a lower bound at
+# every level, and refuses at the first level that takes the count over.
+# Per-level work (factorization, the per-divisor transforms and analytic
+# points) is not counted, so the cost of an element varies about tenfold
+# with the level.  Runs near the bound took 0.83-1.23 s at d = 1
 # (13-19 us per element), 4.2-6.4 s on the one level of omega 15 below 2**64
 # (64-98 us) and 8.9-9.5 s on the 2000 levels below 2**64 (62812 elements,
 # 142-151 us each): six alternating whole-process runs, 2-vCPU Intel Xeon
@@ -56,15 +58,13 @@ class VerifyConfig:
             raise ValueError("samples per coset must be at least 1")
         if self.seed < 0:  # random.Random(-n) would seed as random.Random(n)
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # Every level but d = 1 has at least two cosets, so this count bounds
-        # the sum from below and the sum walks about MAX_SAMPLED_ELEMENTS / 2
-        # levels at most.
-        levels = self.d_max - self.d_min + 1
-        sampled = (2 * levels - (self.d_min == 1)) * self.samples_per_coset
+        # Every level but d = 1 has two cosets or more: the count starts at
+        # that bound (so at most 2**15 levels are walked) and adds the rest.
+        per_coset = self.samples_per_coset
+        sampled = (2 * (self.d_max - self.d_min + 1) - (self.d_min == 1)) * per_coset
         if sampled <= MAX_SAMPLED_ELEMENTS:
-            sampled = 0
             for level in factorize_window(self.d_min, self.d_max):
-                sampled += self.samples_per_coset << level.omega
+                sampled += per_coset * ((1 << level.omega) - 2 + (level.n == 1))
                 if sampled > MAX_SAMPLED_ELEMENTS:
                     break
         if sampled > MAX_SAMPLED_ELEMENTS:

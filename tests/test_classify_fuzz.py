@@ -16,7 +16,6 @@ import pytest
 from k3fm.arith import exact_divisor_values
 from k3fm.cli import main
 from k3fm.corr import represent
-from k3fm.lattice import isometry_to_json
 from k3fm.modgroup import al_to_json, random_al
 
 LEVELS = (1, 2, 6, 12, 30, 210, 2310)
@@ -30,12 +29,13 @@ def _element(rng):
 
 def _lift(rng):
     w = _element(rng)
-    return w.d, isometry_to_json(represent(w))
+    return w.d, [[str(x) for x in row] for row in represent(w).m]
 
 
 def truncated(rng):
     w = _element(rng)
-    text = json.dumps(rng.choice([al_to_json(w), isometry_to_json(represent(w))]))
+    wire = [[str(x) for x in row] for row in represent(w).m]
+    text = json.dumps(rng.choice([al_to_json(w), wire]))
     return ["--d", str(w.d)], text[: rng.randrange(len(text))], 4
 
 

@@ -16,9 +16,8 @@ from k3fm.cli import VerifyConfig, main, run_verify
 from k3fm.corr import represent, verify_correspondence
 from k3fm.fmcalc import induced_transform, partner_census
 from k3fm.halfplane import charge_product_defect, mobius
-from k3fm.lattice import isometry_to_json
 from k3fm.modgroup import ALElement, al_to_json, base_element, fricke_coset_count
-from k3fm.verify import _charge_identity_holds
+from k3fm.verify import MAX_SAMPLED_ELEMENTS, _charge_identity_holds
 
 
 def run_cli(capsys, *args):
@@ -346,7 +345,7 @@ def test_classify_identity(tmp_path, capsys, monkeypatch):
 def test_classify_round_trip(tmp_path, capsys):
     g = represent(base_element(6, 2))
     path = tmp_path / "w2.json"
-    path.write_text(json.dumps(isometry_to_json(g)))
+    path.write_text(json.dumps([[str(x) for x in row] for row in g.m]))
     code, out, _ = run_cli(capsys, "classify", "--d", "6", str(path))
     assert code == 0
     record = json.loads(out)
@@ -672,6 +671,43 @@ def test_verify_refuses_oversized_runs_before_any_work(d_min, d_max, samples, ca
     assert err.startswith("error: verify samples at most ") and err.count("\n") == 1
     with time_budget(2), pytest.raises(ValueError):
         VerifyConfig(d_min, d_max, samples)
+
+
+# (d_min, d_max, samples, samples x sum of 2**omega(d)) at the size bound's
+# edge, where only the walk decides: 2..10239 samples exactly the bound, and
+# one level more, or d = 1's single coset in front, takes it over.
+AT_THE_BOUND = [(2, 10239, 1, 65536), (2, 10240, 1, 65540), (1, 10239, 1, 65537),
+                (100, 5500, 2, 65536), (100, 5501, 2, 65540)]
+
+
+@pytest.mark.parametrize("d_min, d_max, samples, total", AT_THE_BOUND)
+def test_verify_size_bound_at_its_edge(d_min, d_max, samples, total):
+    assert samples * sum(1 << level.omega
+                         for level in factorize_window(d_min, d_max)) == total
+    if total <= MAX_SAMPLED_ELEMENTS:
+        VerifyConfig(d_min, d_max, samples)
+        return
+    with pytest.raises(ValueError, match="got at least") as refused:
+        VerifyConfig(d_min, d_max, samples)
+    # the refusal's count is a true lower bound of the sum, over the bound
+    assert MAX_SAMPLED_ELEMENTS < int(str(refused.value).split()[-1]) <= total
+
+
+def test_verify_refuses_at_the_first_level_over_the_bound(monkeypatch):
+    """The 2**15 levels below 2**64 count 2**16 at two cosets each, and the
+    first level's cosets beyond two take the count over the bound, so the
+    size walk reads at most that level before it refuses."""
+    read = []
+
+    def counting(d_min, d_max):
+        for level in factorize_window(d_min, d_max):
+            read.append(level.n)
+            yield level
+
+    monkeypatch.setattr("k3fm.verify.factorize_window", counting)
+    with pytest.raises(ValueError, match="got at least"):
+        VerifyConfig(2**64 - 2**15, 2**64 - 1, 1)
+    assert len(read) <= 1
 
 
 def test_verify_defaults_come_from_verify_config():

@@ -15,13 +15,11 @@ from k3fm.errors import NotInImage
 from k3fm.lattice import IsometryN, is_isometry, is_orientation_preserving, mat_det
 from k3fm.modgroup import (
     ALElement,
-    al_identity,
     al_inverse,
     al_mul,
     base_element,
     is_fricke,
     random_al,
-    translation,
 )
 from oracles import IDENTITY, mat_mul, neg
 
@@ -30,8 +28,8 @@ D_SET = (1, 2, 6, 12, 30)
 
 def test_represent_identity_and_translation():
     for d in (1, 6):
-        assert represent(al_identity(d)).m == IDENTITY
-    assert represent(translation(1, 1)).m == ((1, 0, 0), (1, 1, 0), (1, 2, 1))
+        assert represent(ALElement(d, 1, 1, 0, 0, 1)).m == IDENTITY
+    assert represent(ALElement(1, 1, 1, 1, 0, 1)).m == ((1, 0, 0), (1, 1, 0), (1, 2, 1))
 
 
 def test_represent_well_defined_projectively():
@@ -63,8 +61,8 @@ def test_homomorphism_exact():
 
 def test_descend_identity_and_sign():
     for d in (1, 6, 30):
-        assert descend(IsometryN(d, IDENTITY)) == al_identity(d)
-        assert descend(IsometryN(d, neg(IDENTITY))) == al_identity(d)
+        assert descend(IsometryN(d, IDENTITY)) == ALElement(d, 1, 1, 0, 0, 1)
+        assert descend(IsometryN(d, neg(IDENTITY))) == ALElement(d, 1, 1, 0, 0, 1)
 
 
 def test_descend_round_trip():

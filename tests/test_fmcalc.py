@@ -18,12 +18,11 @@ from k3fm.fmcalc import (
     source_twist,
 )
 from k3fm.modgroup import (
-    al_identity,
+    ALElement,
     al_inverse,
     base_element,
     fricke_coset_count,
     is_fricke,
-    translation,
 )
 
 
@@ -169,7 +168,7 @@ def test_same_partner_agrees_with_endpoints():
 def test_compose_identity_and_levels():
     t = induced_transform(6, 2)
     lab = partner_label(6, 2)
-    ident = InducedTransform(lab, lab, translation(6, 0))
+    ident = InducedTransform(lab, lab, ALElement(6, 1, 1, 0, 0, 1))
     assert compose(t, ident) == t
     # distinct W_2 and W_3 images compose to the Fricke coset W_6
     t2 = induced_transform(6, 3)  # image level 2
@@ -183,7 +182,7 @@ def test_compose_endpoint_mismatch():
         compose(t, t)  # target of t is X, source is the r=2 partner
     with pytest.raises(EndpointMismatch):
         lab = partner_label(30, 1)
-        compose(t, InducedTransform(lab, lab, translation(30, 1)))
+        compose(t, InducedTransform(lab, lab, ALElement(30, 1, 1, 1, 0, 1)))
 
 
 def test_invert_swaps_twists():
@@ -192,12 +191,12 @@ def test_invert_swaps_twists():
     assert (ti.source, ti.target) == (t.target, t.source)
     assert ti.rank == t.rank
     assert (ti.n_src, ti.n_tgt) == (t.n_tgt, t.n_src)
-    assert compose(t, ti).image == al_identity(6)
+    assert compose(t, ti).image == ALElement(6, 1, 1, 0, 0, 1)
 
 
 def test_translation_transform():
     lab = partner_label(6, 1)
-    t = InducedTransform(lab, lab, translation(6, 3))
+    t = InducedTransform(lab, lab, ALElement(6, 1, 1, 3, 0, 1))
     assert t.rank == 0 and t.source == t.target
     assert (t.image.a, t.image.b, t.image.c, t.image.e) == (1, 3, 0, 1)
     assert is_fricke(t.image)

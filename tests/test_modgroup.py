@@ -10,7 +10,6 @@ from k3fm.errors import InternalClosureViolation, InvalidDeterminant, InvalidLev
 from k3fm.modgroup import (
     ALElement,
     al_from_json,
-    al_identity,
     al_inverse,
     al_mul,
     al_to_json,
@@ -19,7 +18,6 @@ from k3fm.modgroup import (
     is_fricke,
     random_al,
     random_gamma0,
-    translation,
 )
 
 D_SET = (1, 2, 6, 12, 30)
@@ -34,7 +32,7 @@ def random_elements(d, rng, count):
 
 
 def test_identity():
-    w = al_identity(5)
+    w = ALElement(5, 1, 1, 0, 0, 1)
     assert (w.s, w.a, w.b, w.c, w.e) == (1, 1, 0, 0, 1)
     assert w.a * w.e * w.s - w.b * w.c * (w.d // w.s) == 1
 
@@ -42,7 +40,7 @@ def test_identity():
 def test_identity_law_random():
     rng = random.Random(0)
     for d in D_SET:
-        one = al_identity(d)
+        one = ALElement(d, 1, 1, 0, 0, 1)
         for w in random_elements(d, rng, 20):
             assert al_mul(one, w) == w
             assert al_mul(w, one) == w
@@ -104,13 +102,13 @@ def test_mul_examples_at_six():
 
 def test_mul_level_mismatch():
     with pytest.raises(LevelMismatch):
-        al_mul(al_identity(6), al_identity(12))
+        al_mul(ALElement(6, 1, 1, 0, 0, 1), ALElement(12, 1, 1, 0, 0, 1))
 
 
 def test_inverse_law():
     rng = random.Random(4)
     for d in D_SET:
-        one = al_identity(d)
+        one = ALElement(d, 1, 1, 0, 0, 1)
         for w in random_elements(d, rng, 40):
             wi = al_inverse(w)
             assert wi.s == w.s
@@ -119,9 +117,9 @@ def test_inverse_law():
 
 
 def test_inverse_examples():
-    assert al_inverse(al_identity(7)) == al_identity(7)
+    assert al_inverse(ALElement(7, 1, 1, 0, 0, 1)) == ALElement(7, 1, 1, 0, 0, 1)
     w = ALElement(2, 2, 1, -1, 1, 0)
-    assert al_mul(w, al_inverse(w)) == al_identity(2)
+    assert al_mul(w, al_inverse(w)) == ALElement(2, 1, 1, 0, 0, 1)
     # Gamma0 adjugate pattern: [[a, b], [cd, e]] -> [[e, -b], [-cd, a]]
     g = ALElement(6, 1, 5, 2, 2, 5)
     gi = al_inverse(g)
@@ -138,14 +136,14 @@ def test_associativity_random_triples():
 
 
 def test_is_fricke():
-    assert is_fricke(al_identity(6))
+    assert is_fricke(ALElement(6, 1, 1, 0, 0, 1))
     assert is_fricke(base_element(2, 2))
     assert not is_fricke(base_element(6, 2))
 
 
 def test_base_element():
     for d in (1, 2, 6, 12, 30, 210):
-        assert base_element(d, 1) == al_identity(d)
+        assert base_element(d, 1) == ALElement(d, 1, 1, 0, 0, 1)
         fr = base_element(d, d)
         if d > 1:
             assert (fr.a, fr.b, fr.c, fr.e) == (0, -1, 1, 0)
@@ -190,7 +188,7 @@ def test_coset_count():
 
 
 def test_translation_powers():
-    t = translation(6, 1)
+    t = ALElement(6, 1, 1, 1, 0, 1)
     w = al_mul(t, t)
     assert (w.a, w.b, w.c, w.e) == (1, 2, 0, 1)
 

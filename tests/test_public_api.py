@@ -159,9 +159,6 @@ def test_no_private_cross_module_imports():
 UNREAD_PUBLIC_ALLOWED = {
     "compose": "the groupoid law of transforms (acceptance criterion 4)",
     "invert": "the groupoid law of transforms (acceptance criterion 4)",
-    "isometry_to_json": "the inverse of the wire reader isometry_from_json",
-    "al_identity": "a group constructor the tests use across modules",
-    "translation": "a group constructor the tests use across modules",
 }
 
 

@@ -17,7 +17,7 @@ from k3fm.corr import descend, represent
 from k3fm.errors import InternalClosureViolation, InvalidLevel, NotInImage
 from k3fm.fmcalc import InducedTransform, induced_transform, partner_label
 from k3fm.lattice import IsometryN, mat_det, mat_neg
-from k3fm.modgroup import ALElement, al_mul, base_element, random_al, translation
+from k3fm.modgroup import ALElement, al_mul, base_element, random_al
 
 LEVELS = (6, 210, 510510)
 
@@ -170,7 +170,7 @@ def test_descend_refuses_h32_where_the_determinant_does_not_pin_it():
     e = 0 every h32 leaves det(h) = 1, and only the h32 = 2*a*b*d comparison
     refuses a matrix that matches the rest of a lift."""
     d = 6
-    lifts = [translation(d, m) for m in (0, 1, -2)]  # c = 0
+    lifts = [ALElement(d, 1, 1, m, 0, 1) for m in (0, 1, -2)]  # c = 0
     lifts += [base_element(d, d), ALElement(d, d, 1, -1, 1, 0)]  # e = 0
     with pytest.raises(NotInImage):
         descend(IsometryN(d, ((1, 0, 0), (0, 1, 0), (0, 5, 1))))
