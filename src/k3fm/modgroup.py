@@ -183,17 +183,43 @@ _N = 2 * _SPAN + 1
 _K = _N.bit_length()
 
 
-def _gamma0_draw(d: int, rng: random.Random) -> tuple[int, int, int, int]:
+# Byte c*_N + a of _COPRIME[r] is 1 exactly when the raw draws c, a in
+# range(_N) give gcd(a - _SPAN, (c - _SPAN) * r) == 1.  There is one table
+# per level class r: 1, every divisor of 210 above 1, and 11.
+_COPRIME = {
+    r: bytes(math.gcd(a - _SPAN, (c - _SPAN) * r) == 1
+             for c in range(_N) for a in range(_N))
+    for r in (1, 11, *(g for g in range(2, 211) if 210 % g == 0))
+}
+
+
+def _level_table(d: int) -> bytes:
+    """The coprimality table of level d >= 1, the one of its class r(d).
+
+    gcd(a, c*d) == 1 holds exactly when gcd(a, c) == 1 and gcd(a, d) == 1.
+    For 0 < |a| <= 10 the primes of a lie in {2, 3, 5, 7}, so the second
+    test reads only gcd(d, 210); a = 0 passes only at d = 1, with c = +-1.
+    So d accepts exactly the pairs r(d) accepts, where r(d) is 1 at d = 1,
+    gcd(d, 210) when that exceeds 1, and otherwise 11, a level above 1
+    prime to 210.
+    """
+    if d < 1:
+        raise InvalidLevel(f"level d={d} is not a positive integer")
+    g = math.gcd(d, 210)
+    return _COPRIME[g if g > 1 or d == 1 else 11]
+
+
+def _gamma0_draw(d: int, rng: random.Random, ok: bytes) -> tuple[int, int, int, int]:
     """random_gamma0's draw as the integers (a, b, c, e) of [[a, b], [c*d, e]].
 
     Samples the bottom-left multiplier c in [-10, 10] and a coprime top-left
     entry in the same range, completes to determinant one, then smears with
     random translation powers in that range on both sides.  Each uniform
     draw spends the same generator bits as Random.randint would; the
-    coprimality loop inlines _below, since at 210 | d it rejects most rounds.
+    coprimality loop inlines _below, since at 210 | d it rejects most rounds,
+    and reads its verdict from ok = _level_table(d).
     """
     getrandbits = rng.getrandbits
-    gcd = math.gcd
     while True:
         c = getrandbits(_K)
         while c >= _N:
@@ -201,11 +227,11 @@ def _gamma0_draw(d: int, rng: random.Random) -> tuple[int, int, int, int]:
         a = getrandbits(_K)
         while a >= _N:
             a = getrandbits(_K)
-        c -= _SPAN
-        a -= _SPAN
-        cd = c * d
-        if gcd(a, cd) == 1:
+        if ok[c * _N + a]:
             break
+    c -= _SPAN
+    a -= _SPAN
+    cd = c * d
     if c == 0:
         b, e = 0, a
     else:
@@ -223,7 +249,7 @@ def _gamma0_draw(d: int, rng: random.Random) -> tuple[int, int, int, int]:
 
 def random_gamma0(d: int, rng: random.Random) -> ALElement:
     """Random element of W_1 = Gamma0(d); same seed gives the same element."""
-    return ALElement(d, 1, *_gamma0_draw(d, rng))
+    return ALElement(d, 1, *_gamma0_draw(d, rng, _level_table(d)))
 
 
 def random_al(d: int, s: int, rng: random.Random) -> ALElement:
@@ -235,8 +261,9 @@ def random_al(d: int, s: int, rng: random.Random) -> ALElement:
     projective, so one validated element at the end gives al_mul's result.
     """
     a, b, c, e = _base(d, s)
-    a1, b1, c1, e1 = _gamma0_draw(d, rng)
-    a2, b2, c2, e2 = _gamma0_draw(d, rng)
+    ok = _level_table(d)
+    a1, b1, c1, e1 = _gamma0_draw(d, rng, ok)
+    a2, b2, c2, e2 = _gamma0_draw(d, rng, ok)
     a0, b0, cd0, e0 = a * s, b, c * d, e * s
     cd2 = c2 * d
     m11 = a0 * a2 + b0 * cd2

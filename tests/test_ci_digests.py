@@ -17,7 +17,7 @@ PIN = re.compile(r'digest=\$\(k3fm ([^|\n]+) \| sha256sum\)\n\s*'
 def test_workflow_digests_hold_in_process(capsys):
     text = WORKFLOW.read_text(encoding="utf-8")
     pins = PIN.findall(text)
-    assert len(pins) == text.count("digest=$(k3fm ") == 7
+    assert len(pins) == text.count("digest=$(k3fm ") == 8
     for args, digest in pins:
         assert main(args.split()) == 0, args
         out = capsys.readouterr().out

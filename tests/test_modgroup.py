@@ -1,9 +1,11 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from k3fm import modgroup
 from k3fm.arith import exact_divisor_values, factorize, star
 from k3fm.errors import InternalClosureViolation, InvalidDeterminant, InvalidLevel, LevelMismatch
@@ -364,6 +366,46 @@ def test_random_al_refuses_a_non_exact_divisor():
     with pytest.raises(InvalidLevel):
         random_al(6, 4, rng)
     assert rng.getrandbits(32) == random.Random(5).getrandbits(32)
+
+
+@pytest.mark.parametrize("d", [0, -1, -6])
+def test_random_gamma0_refuses_a_level_below_one_before_it_draws(d):
+    for seed in range(4):
+        rng = random.Random(seed)
+        with pytest.raises(InvalidLevel):
+            random_gamma0(d, rng)
+        assert rng.getrandbits(32) == random.Random(seed).getrandbits(32)
+
+
+# Levels of classes no pin above covers.  11, 221 and 2**61 - 1 are above 1
+# and prime to 210, where keying the table on gcd(d, 210) alone would accept
+# a = 0; the others are prime powers and 2310 = 210 * 11.
+UNPINNED_LEVELS = (11, 221, 2**61 - 1, 4, 9, 25, 49, 2310)
+# One level per table: 1, every divisor of 210 above 1, and 11.
+CLASS_LEVELS = (1, 11, *(g for g in range(2, 211) if 210 % g == 0))
+
+
+@pytest.mark.parametrize("d", UNPINNED_LEVELS)
+def test_sampler_draws_as_the_gcd_loop(d):
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        ok = modgroup._level_table(d)
+        got = [modgroup._gamma0_draw(d, ours, ok) for _ in range(20)]
+        assert got == [oracles.gamma0_draw(d, theirs) for _ in range(20)]
+        assert [random_gamma0(d, ours) for _ in range(20)] == [
+            ALElement(d, 1, *oracles.gamma0_draw(d, theirs)) for _ in range(20)]
+        for s in exact_divisor_values(d):
+            left = ALElement(d, 1, *oracles.gamma0_draw(d, theirs))
+            right = ALElement(d, 1, *oracles.gamma0_draw(d, theirs))
+            assert random_al(d, s, ours) == al_mul(al_mul(left, base_element(d, s)), right)
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
+
+
+@pytest.mark.parametrize("d", sorted(set(UNPINNED_LEVELS + CLASS_LEVELS)))
+def test_level_table_is_the_gcd_test(d):
+    ok = modgroup._level_table(d)
+    assert ok == bytes(math.gcd(a, c * d) == 1
+                       for c in range(-10, 11) for a in range(-10, 11))
 
 
 def test_sampler_checks_the_determinant_of_each_draw(monkeypatch):
